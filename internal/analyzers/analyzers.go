@@ -170,7 +170,6 @@ func DefaultConfig() Config {
 			"internal/sensitivity",
 			"internal/segments",
 			"internal/model",
-			"internal/paths",
 			"internal/casestudy",
 			"internal/policy",
 		},

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
+	"time"
 
 	"repro/internal/parallel"
 	"repro/internal/schema"
@@ -117,11 +119,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			if ctx.Err() != nil {
 				continue // client gone: drain the pool without writing
 			}
-			ok = line.Kind != schema.CampaignKindPartial
-			if !ok {
+			if line.Kind == schema.CampaignKindPartial {
 				failed++
+				s.met.campaignFailed.Add(1)
+			} else {
+				s.met.campaignOK.Add(1)
 			}
-			s.met.campaignItem(ok)
 			enc.Encode(line)
 			if flusher != nil {
 				flusher.Flush()
@@ -143,17 +146,17 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	s.met.request("campaign", http.StatusOK)
 }
 
-// campaignLine evaluates one item to its stream line: validated,
-// routed to the owning replica when the fleet is sharded (with local
-// fallback if the owner is unreachable), computed through the shared
-// document helpers otherwise.
+// campaignLine evaluates one item to its stream line through its
+// kind's unary endpoint: validated, relayed to the owning replica when
+// the fleet is sharded (with local fallback if the owner is
+// unreachable), and otherwise answered by the endpoint's document
+// function — so a campaign line is byte-identical to the unary
+// document.
 func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, defaults *reqOptions) schema.CampaignLine {
 	line := schema.CampaignLine{SchemaVersion: schema.Version, Index: i, ID: item.ID}
-	kind := item.Kind
-	if kind == "" {
-		kind = schema.CampaignKindDMM
-	}
-	if kind != schema.CampaignKindDMM && kind != schema.CampaignKindLatency {
+	kind := cmp.Or(item.Kind, schema.CampaignKindDMM)
+	ep := endpoints[kind]
+	if ep == nil || ep.item == nil {
 		return partialLine(line, fmt.Sprintf("unknown item kind %q (want %q or %q)",
 			item.Kind, schema.CampaignKindDMM, schema.CampaignKindLatency), "invalid_options")
 	}
@@ -161,64 +164,69 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	if defaults != nil && item.Options == (reqOptions{}) {
 		item.Options = *defaults
 	}
-	sys, hash, err := item.system()
-	if err != nil {
+	q := query{req: &item.analyzeRequest, start: time.Now()}
+	var err error
+	if q.sys, q.hash, err = q.req.system(); err != nil {
 		return partialLine(line, err.Error(), "bad_request")
 	}
-	line.SystemHash = hash
+	line.SystemHash = q.hash
 	ictx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	if s.store.Fleet() {
-		if cands := s.store.RemoteCandidates(routeKey(hash)); len(cands) > 0 {
-			switch kind {
-			case schema.CampaignKindDMM:
-				doc, state, err := s.relayItemDMM(ictx, cands, &item.analyzeRequest)
-				if err == nil {
-					line.Analysis, line.Cache = &doc, state
-					return line
-				}
-				if line, ok := remoteOutcome(line, err); ok {
-					return line
-				}
-			case schema.CampaignKindLatency:
-				doc, state, err := s.relayItemLatency(ictx, cands, &item.analyzeRequest)
-				if err == nil {
-					line.Latency, line.Cache = &doc, state
-					return line
-				}
-				if line, ok := remoteOutcome(line, err); ok {
-					return line
-				}
-			}
-			// Every candidate arc exhausted (or the owner is shedding
-			// load): fall through to local compute. The bound is
-			// recomputed from scratch here, so a replica death
-			// mid-campaign costs duplicated work, never soundness.
-			s.store.CountLocalFallback()
-		}
+	if s.relayLine(ictx, ep, q, &line) {
+		return line
 	}
+	out, err := ep.document(s, ictx, q)
+	if err != nil {
+		return s.localFailure(line, err)
+	}
+	s.accountQuality(q.hash, out)
+	return out.body.(lineDoc).toLine(line)
+}
 
-	switch kind {
-	case schema.CampaignKindDMM:
-		doc, stats, state, err := s.dmmDocument(ictx, &item.analyzeRequest, sys, hash)
-		if err != nil {
-			return s.localFailure(line, err)
-		}
-		s.accountQuality(hash, stats.Degraded)
-		line.Analysis, line.Cache = &doc, state
-	case schema.CampaignKindLatency:
-		res, state, err := s.latencyResult(ictx, &item.analyzeRequest, sys, hash)
-		if err != nil {
-			return s.localFailure(line, err)
-		}
-		if q := res.Quality; q.Degraded() {
-			s.accountQuality("", map[string]int64{q.Budget: 1})
-		}
-		doc := schema.FromLatency(res)
-		line.Latency, line.Cache = &doc, state
+// relayLine answers a campaign item on the replica owning its system,
+// through the owner's unary endpoint, and decodes the answer into line.
+// It reports false when the item must be computed locally.
+func (s *Server) relayLine(ctx context.Context, ep *endpoint, q query, line *schema.CampaignLine) bool {
+	if !s.store.Fleet() {
+		return false // a single node skips encoding the item
 	}
-	return line
+	body, err := json.Marshal(q.req)
+	if err != nil {
+		return false
+	}
+	answered := false
+	routed := s.toOwner(ctx, false, ep.path, q.hash, body, func(resp *http.Response, peer string) error {
+		// Drain what decoding left, so the connection is reused.
+		defer io.Copy(io.Discard, resp.Body)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			doc := ep.item()
+			if err := json.NewDecoder(resp.Body).Decode(doc); err != nil {
+				// A half-written or garbled body is a peer failure, not
+				// an item failure: recompute locally rather than guess.
+				return err
+			}
+			*line = doc.toLine(*line)
+		case http.StatusTooManyRequests:
+			// The owner is alive but shedding load: compute locally.
+			return nil
+		default:
+			// The owner's error classification carries over to the
+			// item's campaign_partial line.
+			var e errorResponse
+			if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
+				e = errorResponse{Error: fmt.Sprintf("peer %s answered status %d", peer, resp.StatusCode)}
+			}
+			*line = partialLine(*line, e.Error, e.Kind)
+		}
+		answered = true
+		return nil
+	})
+	if routed && !answered {
+		s.store.CountLocalFallback()
+	}
+	return answered
 }
 
 // partialLine converts line into a campaign_partial error line.
@@ -229,24 +237,13 @@ func partialLine(line schema.CampaignLine, msg, cause string) schema.CampaignLin
 	return line
 }
 
-// remoteOutcome maps a relay error: an owner-classified item failure
-// becomes this item's partial line (ok=true); a peer-unavailable error
-// returns ok=false, telling the caller to recompute locally.
-func remoteOutcome(line schema.CampaignLine, err error) (schema.CampaignLine, bool) {
-	var remote remoteItemError
-	if errors.As(err, &remote) {
-		return partialLine(line, remote.msg, remote.kind), true
-	}
-	return line, false
-}
-
 // localFailure converts a local item error into its partial line, with
 // the same sentinel classification (and worker-panic accounting) the
 // unary endpoints report.
 func (s *Server) localFailure(line schema.CampaignLine, err error) schema.CampaignLine {
 	_, cause := classify(err)
 	if cause == "worker_panic" {
-		s.met.workerPanic()
+		s.met.workerPanics.Add(1)
 	}
 	return partialLine(line, err.Error(), cause)
 }

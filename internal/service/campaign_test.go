@@ -169,48 +169,93 @@ func TestCampaignValidation(t *testing.T) {
 // campaign line's analysis document is byte-identical to the document
 // the unary endpoint returns for the same query — same schema, same
 // bounds, same point ordering — so clients can switch between the two
-// transports without output churn. Checked cold and warm.
+// transports without output churn. Checked cold and warm, for every
+// campaign item kind.
 func TestCampaignByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
 	sys := thalesJSON(t)
-	unary := analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1, 3, 10, 100}}
+	for _, tc := range []struct {
+		kind  string
+		chain string
+		// unaryDoc decodes a unary 200 body and re-encodes its document
+		// part; lineDoc does the same for a campaign line.
+		unaryDoc func(io.Reader) (any, string, error)
+		lineDoc  func(schema.CampaignLine) any
+	}{
+		{
+			kind: schema.CampaignKindDMM, chain: "sigma_c",
+			unaryDoc: func(r io.Reader) (any, string, error) {
+				var u dmmResponse
+				err := json.NewDecoder(r).Decode(&u)
+				return u.Analysis, u.SystemHash, err
+			},
+			lineDoc: func(l schema.CampaignLine) any {
+				if l.Analysis == nil {
+					return nil
+				}
+				return *l.Analysis
+			},
+		},
+		{
+			kind: schema.CampaignKindLatency, chain: "sigma_d",
+			unaryDoc: func(r io.Reader) (any, string, error) {
+				var u latencyResponse
+				err := json.NewDecoder(r).Decode(&u)
+				return u.Latency, u.SystemHash, err
+			},
+			lineDoc: func(l schema.CampaignLine) any {
+				if l.Latency == nil {
+					return nil
+				}
+				return *l.Latency
+			},
+		},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{})
+			unary := analyzeRequest{System: sys, Chain: tc.chain, K: []int64{1, 3, 10, 100}}
+			if tc.kind != schema.CampaignKindDMM {
+				unary.K = nil
+			}
 
-	body, _ := json.Marshal(unary)
-	resp, err := http.Post(ts.URL+"/v1/analyze/dmm", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var uresp dmmResponse
-	if err := json.NewDecoder(resp.Body).Decode(&uresp); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unary status = %d", resp.StatusCode)
-	}
-	unaryDoc, err := json.Marshal(uresp.Analysis)
-	if err != nil {
-		t.Fatal(err)
-	}
+			body, _ := json.Marshal(unary)
+			resp, err := http.Post(ts.URL+"/v1/analyze/"+tc.kind, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, hash, err := tc.unaryDoc(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("unary status = %d", resp.StatusCode)
+			}
+			unaryDoc, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for _, pass := range []string{"cold", "warm"} {
-		_, lines := postCampaign(t, ts.URL, campaignRequest{Items: []campaignItem{
-			{analyzeRequest: unary},
-		}})
-		if lines[0].Analysis == nil {
-			t.Fatalf("%s campaign line = %+v", pass, lines[0])
-		}
-		campDoc, err := json.Marshal(*lines[0].Analysis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(unaryDoc, campDoc) {
-			t.Errorf("%s campaign document differs from the unary endpoint's:\nunary:    %s\ncampaign: %s",
-				pass, unaryDoc, campDoc)
-		}
-		if lines[0].SystemHash != uresp.SystemHash {
-			t.Errorf("%s system hash %q != unary %q", pass, lines[0].SystemHash, uresp.SystemHash)
-		}
+			for _, pass := range []string{"cold", "warm"} {
+				_, lines := postCampaign(t, ts.URL, campaignRequest{Items: []campaignItem{
+					{Kind: tc.kind, analyzeRequest: unary},
+				}})
+				ldoc := tc.lineDoc(lines[0])
+				if lines[0].Kind != tc.kind || ldoc == nil {
+					t.Fatalf("%s campaign line = %+v", pass, lines[0])
+				}
+				campDoc, err := json.Marshal(ldoc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(unaryDoc, campDoc) {
+					t.Errorf("%s campaign document differs from the unary endpoint's:\nunary:    %s\ncampaign: %s",
+						pass, unaryDoc, campDoc)
+				}
+				if lines[0].SystemHash != hash {
+					t.Errorf("%s system hash %q != unary %q", pass, lines[0].SystemHash, hash)
+				}
+			}
+		})
 	}
 }
 

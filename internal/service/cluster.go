@@ -226,12 +226,12 @@ func (s *Server) propagateMutation(r *http.Request, endpoint, subject string, me
 		body := fmt.Sprintf(`{"peer":%q}`, c.peer)
 		resp, err := s.forward(r.Context(), c.target, r.URL.Path, []byte(body))
 		if err != nil {
-			s.met.membershipPropagationFailure()
+			s.met.propagationFailures.Add(1)
 			continue
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			s.met.membershipPropagationFailure()
+			s.met.propagationFailures.Add(1)
 		}
 	}
 }

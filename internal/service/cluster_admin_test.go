@@ -415,9 +415,7 @@ func TestClusterRelayRetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || peer != c.url(2) {
 		t.Fatalf("relay answered %d via %q, want 200 via the second arc %q", resp.StatusCode, peer, c.url(2))
 	}
-	c.svcs[0].met.mu.Lock()
-	retries := c.svcs[0].met.relayRetries
-	c.svcs[0].met.mu.Unlock()
+	retries := c.svcs[0].met.relayRetries.Load()
 	if retries != 1 {
 		t.Errorf("relayRetries = %d, want 1", retries)
 	}
@@ -446,9 +444,7 @@ func TestClusterRelayRetry(t *testing.T) {
 	if elapsed > time.Second {
 		t.Errorf("budget-starved relay took %v -- retried past the deadline", elapsed)
 	}
-	c.svcs[0].met.mu.Lock()
-	after := c.svcs[0].met.relayRetries
-	c.svcs[0].met.mu.Unlock()
+	after := c.svcs[0].met.relayRetries.Load()
 	if after != retries {
 		t.Errorf("budget-starved relay recorded %d retries, want 0", after-retries)
 	}
@@ -494,9 +490,7 @@ func TestClusterRelayHedge(t *testing.T) {
 	if elapsed >= 1500*time.Millisecond {
 		t.Errorf("hedged relay took %v -- waited out the slow primary instead of hedging", elapsed)
 	}
-	c.svcs[0].met.mu.Lock()
-	hedges, wins := c.svcs[0].met.relayHedges, c.svcs[0].met.relayHedgeWins
-	c.svcs[0].met.mu.Unlock()
+	hedges, wins := c.svcs[0].met.relayHedges.Load(), c.svcs[0].met.relayHedgeWins.Load()
 	if hedges != 1 || wins != 1 {
 		t.Errorf("hedges = %d launched / %d won, want 1/1", hedges, wins)
 	}
@@ -581,9 +575,7 @@ func TestClusterChurn(t *testing.T) {
 	// transition recorded and the store routing around it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		c.svcs[0].met.mu.Lock()
-		downs := c.svcs[0].met.heartbeatDowns
-		c.svcs[0].met.mu.Unlock()
+		downs := c.svcs[0].met.heartbeatDowns.Load()
 		if downs >= 1 && c.svcs[0].store.Down(c.url(1)) {
 			break
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -395,5 +396,87 @@ func TestClusterChaosKillReplica(t *testing.T) {
 	}
 	if !c.svcs[0].store.Down(c.url(1)) {
 		t.Error("killed replica not marked down after the failed relay")
+	}
+}
+
+// envelopeLine matches the top-level envelope fields that legitimately
+// differ between two answers to the same query: the artifact-store
+// outcome and the wall time. MarshalIndent puts each top-level field on
+// its own two-space-indented line.
+var envelopeLine = regexp.MustCompile(`(?m)^  "(cache|elapsed_ms)": [^\n]*\n`)
+
+// postRaw posts body and returns the status, the raw response bytes and
+// the headers.
+func postRaw(t testing.TB, url string, body []byte) (int, []byte, http.Header) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw, resp.Header
+}
+
+// TestClusterEndpointByteIdentity pins the fleet's transparency for
+// every analysis endpoint: the same query answered by the replica that
+// owns the system, by a non-owner (which relays it to the owner), and by
+// an isolated single node yields byte-identical bodies once the cache
+// outcome and wall time are removed.
+func TestClusterEndpointByteIdentity(t *testing.T) {
+	c := newCluster(t, 3, Config{HedgeDelay: -1})
+	_, single := newTestServer(t, Config{})
+	sys := thalesJSON(t)
+	for _, tc := range []struct {
+		path string
+		req  analyzeRequest
+	}{
+		{"/v1/analyze/dmm", analyzeRequest{System: sys, Chain: "sigma_c", K: []int64{1, 3, 10, 100}}},
+		{"/v1/analyze/latency", analyzeRequest{System: sys, Chain: "sigma_d"}},
+		{"/v1/verify", analyzeRequest{System: sys, Chain: "sigma_c",
+			Constraints: []wireConstraint{{M: 5, K: 10}, {M: 4, K: 10}}}},
+		{"/v1/analyze/sensitivity", analyzeRequest{System: sys, Chain: "sigma_c",
+			Sensitivity: &reqSensitivity{M: 5, K: 10, Tasks: []string{"tau3c"}}}},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, want, _ := postRaw(t, single.URL+tc.path, body)
+			if status != http.StatusOK {
+				t.Fatalf("single node answered %d: %s", status, want)
+			}
+			var doc struct {
+				SystemHash string `json:"system_hash"`
+			}
+			if err := json.Unmarshal(want, &doc); err != nil || doc.SystemHash == "" {
+				t.Fatalf("single-node body has no system_hash (%v): %s", err, want)
+			}
+			owner, _ := c.svcs[0].store.Route(routeKey(doc.SystemHash))
+			nonOwner := ""
+			for i := range c.svcs {
+				if c.url(i) != owner {
+					nonOwner = c.url(i)
+					break
+				}
+			}
+			want = envelopeLine.ReplaceAll(want, nil)
+			for _, target := range []struct{ name, url string }{{"owner", owner}, {"non-owner", nonOwner}} {
+				status, got, hdr := postRaw(t, target.url+tc.path, body)
+				if status != http.StatusOK {
+					t.Fatalf("%s answered %d: %s", target.name, status, got)
+				}
+				if served := hdr.Get(servedByHeader); target.url == nonOwner && served != owner {
+					t.Errorf("non-owner response served by %q, want the owner %q", served, owner)
+				}
+				if got = envelopeLine.ReplaceAll(got, nil); !bytes.Equal(got, want) {
+					t.Errorf("%s body differs from the single node's:\ngot:  %s\nwant: %s", target.name, got, want)
+				}
+			}
+		})
 	}
 }

@@ -300,3 +300,58 @@ func TestDrainCancelsInflight(t *testing.T) {
 		t.Error("canceled in-flight response has no Retry-After")
 	}
 }
+
+// TestQueryTimeDegradationNotReplayed: a dmm point that degraded at
+// query time under an injected fault must not be replayed from the
+// document cache. The analysis artifact stays exact, so once the fault
+// is gone a repeat query is answered at full quality, and the replays
+// feed nothing to the circuit breaker.
+func TestQueryTimeDegradationNotReplayed(t *testing.T) {
+	defer faultinject.Disarm()
+	svc, ts := newTestServer(t, Config{})
+	req := analyzeRequest{System: thalesJSON(t), Chain: "sigma_c", K: []int64{1, 3, 10}}
+
+	if err := faultinject.Configure([]faultinject.Rule{
+		{Point: faultinject.PointILPBranch, Action: faultinject.ActionError, Times: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	status, doc, _ := postHdr(t, ts.URL+"/v1/analyze/dmm", req)
+	if status != http.StatusOK || doc["quality"] == nil {
+		t.Fatalf("faulted query: status %d body %v", status, doc)
+	}
+	degraded := false
+	for _, p := range doc["dmm"].([]any) {
+		if p.(map[string]any)["budget"] == "injected" {
+			degraded = true
+		}
+	}
+	if !degraded {
+		t.Fatalf("the injected ILP fault degraded no dmm point: %v", doc["dmm"])
+	}
+	hash := doc["system_hash"].(string)
+	faultinject.Disarm()
+
+	for i := 0; i < 2; i++ {
+		status, doc, hdr := postHdr(t, ts.URL+"/v1/analyze/dmm", req)
+		if status != http.StatusOK {
+			t.Fatalf("repeat %d: status %d body %v", i, status, doc)
+		}
+		for _, p := range doc["dmm"].([]any) {
+			pt := p.(map[string]any)
+			if pt["quality"] != "exact" {
+				t.Errorf("repeat %d replayed dmm(%v) as %v/%v after the fault was gone",
+					i, pt["k"], pt["quality"], pt["budget"])
+			}
+		}
+		if hdr.Get("Retry-After") != "" {
+			t.Errorf("repeat %d carries Retry-After for an exact answer", i)
+		}
+	}
+	if trips := svc.breaker.tripCount(); trips != 1 {
+		t.Errorf("breaker recorded %d trips, want 1 (the faulted query only)", trips)
+	}
+	if svc.breaker.open(hash) {
+		t.Error("replayed degradations opened the breaker")
+	}
+}

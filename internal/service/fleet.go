@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/schema"
 	"repro/internal/store"
 )
 
@@ -68,17 +66,20 @@ const relayHeadroom = 2 * time.Second
 // relayed reports whether r is a relay from a peer replica.
 func relayed(r *http.Request) bool { return r.Header.Get(forwardHeader) != "" }
 
-// relayToOwner routes one unary request by its system hash. It returns
-// true when the request was fully answered by a peer (the response has
-// been streamed to w); false means the caller must handle the request
-// locally — because this replica owns the key, the request is already
-// a relay, the fleet is disabled, or every candidate owner is
-// unreachable and local fallback is in order.
-func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, hash string, body []byte) bool {
+// toOwner relays one request to the replica owning its system hash —
+// the fleet's one relay path, shared by the unary endpoints and
+// campaign items. It reports false when the caller must compute
+// locally: the fleet is off, this replica owns the hash, the request
+// already is a relay (hop), or every candidate arc failed. Otherwise
+// the owner answered and consume has read its answer: unary callers
+// stream it through, campaign callers decode it. A consume error means
+// the answer arrived truncated or garbled; the peer is then routed
+// around for the down cooldown.
+func (s *Server) toOwner(ctx context.Context, hop bool, path, hash string, body []byte, consume func(resp *http.Response, peer string) error) bool {
 	if !s.store.Fleet() {
 		return false
 	}
-	if relayed(r) {
+	if hop {
 		// This replica is the owner serving a peer's relay (or the
 		// peer's ring disagreed — either way the loop stops here).
 		s.store.CountSharedServe()
@@ -89,32 +90,42 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 		return false
 	}
 	// The relay budget mirrors the local-compute budget (plus headroom
-	// for the wire), bounded by the client's own context: retries and
+	// for the wire), bounded by the caller's own context: retries and
 	// hedges never outlive what the caller was willing to wait for a
 	// local analysis.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout+relayHeadroom)
+	rctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout+relayHeadroom)
 	defer cancel()
-	resp, peer, release, err := s.relay(ctx, cands, r.URL.Path, body)
+	resp, peer, release, err := s.relay(rctx, cands, path, body)
 	if err != nil {
-		if r.Context().Err() != nil {
-			// The client went away mid-relay; the local path will fail
-			// with the cancellation mapping. Not the peers' fault.
-			return false
+		// Every candidate arc failed: the caller recomputes the bound
+		// from scratch, so a replica death costs duplicated work, never
+		// soundness. A caller that went away mid-relay is not the peers'
+		// fault; its local path fails with the cancellation mapping.
+		if ctx.Err() == nil {
+			s.store.CountLocalFallback()
 		}
-		s.store.CountLocalFallback()
 		return false
 	}
 	defer release()
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
-		s.met.relayThrottle()
+		s.met.relayThrottles.Add(1)
 	} else {
-		// Answered by the owner: a relayed artifact document.
 		s.store.CountPeerHit()
 		s.met.cacheOutcome(store.OutcomePeer)
 	}
-	// Stream the body through byte-for-byte so a relayed document is
-	// indistinguishable from a locally served one.
+	if err := consume(resp, peer); err != nil && ctx.Err() == nil {
+		s.met.relayTruncations.Add(1)
+		s.attemptFailed(peer)
+	}
+	return true
+}
+
+// passThrough streams an owner's answer to the client byte for byte, so
+// a relayed document is indistinguishable from a locally served one. A
+// copy error means the peer died mid-stream: the status line is already
+// on the wire, so the client sees a short body.
+func (s *Server) passThrough(w http.ResponseWriter, endpoint string, resp *http.Response, peer string) error {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -123,16 +134,9 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, endpoint, 
 	}
 	w.Header().Set(servedByHeader, peer)
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil && r.Context().Err() == nil {
-		// The peer died mid-stream. The status line is already on the
-		// wire, so the client sees a short body — all we can do is
-		// refuse to count it as a healthy peer serve and route around
-		// the peer for the cooldown.
-		s.met.relayTruncated()
-		s.attemptFailed(peer)
-	}
 	s.met.request(endpoint, resp.StatusCode)
-	return true
+	_, err := io.Copy(w, resp.Body)
+	return err
 }
 
 // relay races body against the candidate peers: a primary attempt on
@@ -177,7 +181,7 @@ func (s *Server) relay(ctx context.Context, cands []string, path string, body []
 				if res.idx == hedgeIdx {
 					// The hedged attempt beat every earlier one to a
 					// usable response: the hedge won the race.
-					s.met.relayHedge(true)
+					s.met.relayHedgeWins.Add(1)
 				}
 				reapAttempts(results, launched-received)
 				return res.resp, res.peer, res.cancel, nil
@@ -186,7 +190,7 @@ func (s *Server) relay(ctx context.Context, cands []string, path string, body []
 			lastErr = res.err
 			if retriesLeft > 0 && backoffC == nil && ctx.Err() == nil && budgetAllows(ctx, backoff) {
 				retriesLeft--
-				s.met.relayRetry()
+				s.met.relayRetries.Add(1)
 				backoffC = time.After(backoff)
 				backoff = s.nextBackoff(backoff)
 				continue
@@ -201,7 +205,7 @@ func (s *Server) relay(ctx context.Context, cands []string, path string, body []
 			hedgeC = nil
 			if launched < maxAttempts && ctx.Err() == nil {
 				hedgeIdx = launched
-				s.met.relayHedge(false)
+				s.met.relayHedges.Add(1)
 				start()
 			}
 		case <-ctx.Done():
@@ -337,79 +341,6 @@ func (s *Server) attemptFailed(peer string) {
 	s.store.MarkDown(peer)
 	s.store.CountPeerUnavailable()
 }
-
-// relayItemDMM evaluates one campaign item on the owning peer (or its
-// retry/hedge arcs) via the unary DMM endpoint, returning the analysis
-// document and the peer's cache outcome. A store.ErrPeerUnavailable-
-// wrapped error asks the caller to fall back to local compute; any
-// other error is the item's real outcome as classified by the owner.
-func (s *Server) relayItemDMM(ctx context.Context, cands []string, req *analyzeRequest) (schema.Analysis, string, error) {
-	var out dmmResponse
-	if err := s.relayItem(ctx, cands, "/v1/analyze/dmm", req, &out); err != nil {
-		return schema.Analysis{}, "", err
-	}
-	return out.Analysis, out.Cache, nil
-}
-
-// relayItemLatency is relayItemDMM for latency items.
-func (s *Server) relayItemLatency(ctx context.Context, cands []string, req *analyzeRequest) (schema.Latency, string, error) {
-	var out latencyResponse
-	if err := s.relayItem(ctx, cands, "/v1/analyze/latency", req, &out); err != nil {
-		return schema.Latency{}, "", err
-	}
-	return out.Latency, out.Cache, nil
-}
-
-// relayItem performs one item relay — with the same retry/hedge
-// resilience as unary relays — and decodes the 200 response into out.
-// Non-200 answers from the serving peer are returned as
-// remoteItemError so the campaign line preserves the owner's error
-// classification; a 429 asks for local fallback without marking the
-// peer down (it is alive, just shedding load).
-func (s *Server) relayItem(ctx context.Context, cands []string, path string, req *analyzeRequest, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, peer, release, err := s.relay(ctx, cands, path, body)
-	if err != nil {
-		return err
-	}
-	defer release()
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			// A half-written or garbled body is a peer failure, not an
-			// item failure: recompute locally rather than guess.
-			s.met.relayTruncated()
-			s.attemptFailed(peer)
-			return fmt.Errorf("%w: %s: bad relay body: %v", ErrPeerUnavailable, peer, err)
-		}
-		s.store.CountPeerHit()
-		s.met.cacheOutcome(store.OutcomePeer)
-		return nil
-	case http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
-		s.met.relayThrottle()
-		return fmt.Errorf("%w: %s throttled the relay", ErrPeerUnavailable, peer)
-	}
-	var e errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-		return remoteItemError{kind: "", msg: fmt.Sprintf("peer %s answered status %d", peer, resp.StatusCode)}
-	}
-	return remoteItemError{kind: e.Kind, msg: e.Error}
-}
-
-// remoteItemError carries a peer's error classification through to a
-// campaign_partial line without re-deriving it from a local error
-// chain.
-type remoteItemError struct {
-	kind string
-	msg  string
-}
-
-func (e remoteItemError) Error() string { return e.msg }
 
 // splitmix64 is the finalizer from Vigna's splitmix64 generator — the
 // same mixer internal/faultinject uses for deterministic probability

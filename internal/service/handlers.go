@@ -297,7 +297,7 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, err error) {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.DrainTimeout))
 	}
 	if kind == "worker_panic" {
-		s.met.workerPanic()
+		s.met.workerPanics.Add(1)
 	}
 	s.met.request(endpoint, status)
 	s.writeJSON(w, status, errorResponse{SchemaVersion: schema.Version, Error: err.Error(), Kind: kind})
@@ -327,14 +327,145 @@ func decodeStrict(data []byte, v any) error {
 	return nil
 }
 
-// decode reads and strictly parses the request body, returning the raw
-// bytes alongside for relaying.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *analyzeRequest) ([]byte, error) {
+// endpoint is one analysis endpoint's entry in the request pipeline
+// (serve): only what differs between the endpoints. Decoding, the
+// system build, the fleet relay, the deadline, quality accounting and
+// the write are serve's, the same for every endpoint.
+type endpoint struct {
+	path string
+	// check validates the endpoint's own request fields before the
+	// system is built (nil: nothing to check).
+	check func(*analyzeRequest) error
+	// document answers the request on this replica.
+	document func(*Server, context.Context, query) (outcome, error)
+	// item is set on the endpoints that also answer campaign items (the
+	// campaign kind is the endpoint's name): a fresh response body to
+	// decode the owning replica's answer into.
+	item func() lineDoc
+}
+
+// endpoints are the analysis endpoints by /metrics name.
+var endpoints = map[string]*endpoint{
+	"dmm": {path: "/v1/analyze/dmm", document: (*Server).dmmDoc,
+		item: func() lineDoc { return new(dmmResponse) }},
+	"latency": {path: "/v1/analyze/latency", document: (*Server).latencyDoc,
+		item: func() lineDoc { return new(latencyResponse) }},
+	"verify":      {path: "/v1/verify", check: checkVerify, document: (*Server).verifyDoc},
+	"sensitivity": {path: "/v1/analyze/sensitivity", check: checkSensitivity, document: (*Server).sensitivityDoc},
+}
+
+// query is one decoded analysis request on its way through the
+// pipeline.
+type query struct {
+	req   *analyzeRequest
+	sys   *repro.System
+	hash  string
+	start time.Time
+}
+
+// outcome is an endpoint's answer: the 200 body, plus what quality
+// accounting needs to know about it.
+type outcome struct {
+	body any
+	// degraded counts the results answered below exact quality, by
+	// exhausted budget.
+	degraded map[string]int64
+	// breaker reports whether the budgets feed the system's circuit
+	// breaker. Only DMM budgets do: a latency or sensitivity trip says
+	// nothing about the DMM combination space.
+	breaker bool
+}
+
+// lineDoc is a response body that also stands as a campaign line's
+// result: toLine returns l carrying it.
+type lineDoc interface {
+	toLine(l schema.CampaignLine) schema.CampaignLine
+}
+
+// serve is the request pipeline of every analysis endpoint: strict
+// decode, the endpoint's check, the system and its hash, the relay to
+// the replica owning it, the per-request deadline, the endpoint's
+// document function, quality accounting and the write.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, name string, ep *endpoint) {
+	q := query{req: new(analyzeRequest), start: time.Now()}
 	body, err := s.readBody(w, r)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = decodeStrict(body, q.req)
 	}
-	return body, decodeStrict(body, req)
+	if err != nil {
+		s.fail(w, name, err)
+		return
+	}
+	if ep.check != nil {
+		err = ep.check(q.req)
+	}
+	if err == nil {
+		q.sys, q.hash, err = q.req.system()
+	}
+	if err != nil {
+		s.fail(w, name, badRequestError{err})
+		return
+	}
+	if s.toOwner(r.Context(), relayed(r), ep.path, q.hash, body, func(resp *http.Response, peer string) error {
+		return s.passThrough(w, name, resp, peer)
+	}) {
+		return
+	}
+	// The analysis runs under the client's context (canceled on
+	// disconnect) bounded by the per-request deadline.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	out, err := ep.document(s, ctx, q)
+	if err != nil {
+		s.fail(w, name, err)
+		return
+	}
+	if s.accountQuality(q.hash, out) {
+		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
+	}
+	s.met.request(name, http.StatusOK)
+	s.writeJSON(w, http.StatusOK, out.body)
+}
+
+// accountQuality does the degradation bookkeeping of one answer, for
+// the endpoints and campaign items alike: count each degraded result in
+// /metrics and, when the budgets feed the breaker, record the outcome
+// with the system's circuit breaker (a budget trip opens it after
+// enough consecutive failures; an exact answer closes it). The return
+// value reports whether the answer was degraded at all — the budget
+// pressure is transient, so unary answers advertise Retry-After and a
+// later retry may earn an exact answer.
+func (s *Server) accountQuality(hash string, out outcome) (degradedAtAll bool) {
+	tripped := false
+	for budget, n := range out.degraded {
+		s.met.degraded(budget, n)
+		if budget != degrade.BudgetBreaker {
+			tripped = true
+		}
+	}
+	if out.breaker {
+		switch {
+		case tripped:
+			s.breaker.recordTrip(hash)
+		case len(out.degraded) == 0:
+			s.breaker.recordOK(hash)
+		}
+	}
+	return len(out.degraded) > 0
+}
+
+// degradedBy is the degraded-budget count of an answer made of one
+// result (nil when the result is exact).
+func degradedBy(q degrade.Info) map[string]int64 {
+	if !q.Degraded() {
+		return nil
+	}
+	return map[string]int64{q.Budget: 1}
+}
+
+// elapsedMS is the envelope's wall time since start.
+func elapsedMS(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }
 
 // dmmArtifact returns the prepared DMM analysis for the request's
@@ -379,16 +510,6 @@ func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *repr
 	return val.(*repro.Analysis), key, state, nil
 }
 
-// dmmDoc is a fully assembled DMM response document retained in the
-// LRU alongside the analysis artifact it came from. Documents are
-// deterministic functions of (artifact key, ks, breakpoint range), so
-// serving a retained one is byte-identical to re-deriving it — warmth
-// stays invisible in the body while repeat queries skip the sweep.
-type dmmDoc struct {
-	doc   schema.Analysis
-	stats schema.Stats
-}
-
 // dmmKs resolves the requested dmm(k) points (default 1, 10, 100 when
 // neither points nor a breakpoint sweep were asked for).
 func (req *analyzeRequest) dmmKs() []int64 {
@@ -396,59 +517,6 @@ func (req *analyzeRequest) dmmKs() []int64 {
 		return []int64{1, 10, 100}
 	}
 	return req.K
-}
-
-// dmmDocument produces the full schema document for a DMM request —
-// artifact (cached/coalesced/fresh) plus the assembled dmm sweep — and
-// is the one path shared by /v1/analyze/dmm and campaign items, so a
-// campaign line is byte-identical to the unary document.
-func (s *Server) dmmDocument(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (schema.Analysis, schema.Stats, string, error) {
-	an, key, state, err := s.dmmArtifact(ctx, req, sys, hash)
-	if err != nil {
-		return schema.Analysis{}, schema.Stats{}, state, err
-	}
-	ks := req.dmmKs()
-	// The response document is a deterministic function of the artifact
-	// and the requested points, so repeat queries reuse the assembled
-	// document instead of re-sweeping the dmm curve.
-	docKey := fmt.Sprintf("doc|%s|%v|%d", key, ks, req.BreakpointsMaxK)
-	if v, ok := s.store.Peek(docKey); ok {
-		cached := v.(dmmDoc)
-		return cached.doc, cached.stats, state, nil
-	}
-	doc, stats, err := schema.FromAnalysisStats(ctx, an, ks, req.BreakpointsMaxK)
-	if err != nil {
-		return schema.Analysis{}, schema.Stats{}, state, err
-	}
-	s.met.addILPNodes(stats.ILPNodes)
-	s.store.Add(docKey, dmmDoc{doc: doc, stats: stats})
-	return doc, stats, state, nil
-}
-
-// accountQuality does the per-response degradation bookkeeping shared
-// by the endpoints and campaign items: count each degraded result in
-// /metrics and feed the system's circuit breaker (a budget trip opens
-// it after enough consecutive failures; an exact answer closes it). The
-// return value reports whether the result was degraded at all — the
-// budget pressure is transient, so unary handlers advertise Retry-After
-// and a later retry may earn an exact answer.
-func (s *Server) accountQuality(hash string, degradedBudgets map[string]int64) (degradedAtAll bool) {
-	tripped := false
-	for budget, n := range degradedBudgets {
-		s.met.degraded(budget, n)
-		if budget != degrade.BudgetBreaker {
-			tripped = true
-		}
-	}
-	if hash != "" {
-		switch {
-		case tripped:
-			s.breaker.recordTrip(hash)
-		case len(degradedBudgets) == 0:
-			s.breaker.recordOK(hash)
-		}
-	}
-	return len(degradedBudgets) > 0
 }
 
 // dmmResponse is schema.Analysis plus service envelope fields.
@@ -459,39 +527,44 @@ type dmmResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-func (s *Server) handleDMM(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req analyzeRequest
-	body, err := s.decode(w, r, &req)
+func (r *dmmResponse) toLine(l schema.CampaignLine) schema.CampaignLine {
+	l.Analysis, l.Cache = &r.Analysis, r.Cache
+	return l
+}
+
+// dmmDoc answers a DMM query: the artifact (cached, coalesced or fresh)
+// plus the assembled dmm sweep.
+func (s *Server) dmmDoc(ctx context.Context, q query) (outcome, error) {
+	an, key, state, err := s.dmmArtifact(ctx, q.req, q.sys, q.hash)
 	if err != nil {
-		s.fail(w, "dmm", err)
-		return
+		return outcome{}, err
 	}
-	sys, hash, err := req.system()
-	if err != nil {
-		s.fail(w, "dmm", badRequestError{err})
-		return
+	ks := q.req.dmmKs()
+	// The document is a deterministic function of the artifact and the
+	// requested points, so repeat queries reuse the assembled document
+	// instead of re-sweeping the dmm curve — serving a retained one is
+	// byte-identical to re-deriving it. A document with a degraded point
+	// is not retained: a query-time budget trip (deadline, injected
+	// fault) belongs to that query, not to the artifact, and replaying it
+	// would deny a later, less pressed query the exact answer and feed
+	// the breaker a trip per replay.
+	docKey := fmt.Sprintf("doc|%s|%v|%d", key, ks, q.req.BreakpointsMaxK)
+	out := outcome{breaker: true}
+	var doc schema.Analysis
+	if v, ok := s.store.Peek(docKey); ok {
+		doc = v.(schema.Analysis)
+	} else {
+		var stats schema.Stats
+		if doc, stats, err = schema.FromAnalysisStats(ctx, an, ks, q.req.BreakpointsMaxK); err != nil {
+			return outcome{}, err
+		}
+		s.met.ilpNodes.Add(stats.ILPNodes)
+		if out.degraded = stats.Degraded; len(out.degraded) == 0 {
+			s.store.Add(docKey, doc)
+		}
 	}
-	if s.relayToOwner(w, r, "dmm", hash, body) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	doc, stats, state, err := s.dmmDocument(ctx, &req, sys, hash)
-	if err != nil {
-		s.fail(w, "dmm", err)
-		return
-	}
-	if s.accountQuality(hash, stats.Degraded) {
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
-	}
-	s.met.request("dmm", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, dmmResponse{
-		Analysis:   doc,
-		SystemHash: hash,
-		Cache:      state,
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
+	out.body = &dmmResponse{Analysis: doc, SystemHash: q.hash, Cache: state, ElapsedMS: elapsedMS(q.start)}
+	return out, nil
 }
 
 type latencyResponse struct {
@@ -501,65 +574,40 @@ type latencyResponse struct {
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 
-// latencyResult returns the latency analysis for the request, from the
-// store or a fresh gate-admitted run — the path shared by
-// /v1/analyze/latency and campaign items.
-func (s *Server) latencyResult(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (*repro.LatencyResult, string, error) {
-	key := artifactKey("latency", hash, req.Chain, req.Options.fingerprint())
-	opts := req.Options.twca()
+func (r *latencyResponse) toLine(l schema.CampaignLine) schema.CampaignLine {
+	l.Latency, l.Cache = &r.Latency, r.Cache
+	return l
+}
+
+// latencyDoc answers a latency query from the store or a fresh
+// gate-admitted run.
+func (s *Server) latencyDoc(ctx context.Context, q query) (outcome, error) {
+	key := artifactKey("latency", q.hash, q.req.Chain, q.req.Options.fingerprint())
+	opts := q.req.Options.twca()
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
 		if err := s.gate.Acquire(fctx); err != nil {
 			return nil, err
 		}
 		defer s.gate.Release()
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: opts}.Latency(fctx)
+		res, err := repro.AnalysisRequest{System: q.sys, Chain: q.req.Chain, Options: opts}.Latency(fctx)
 		s.met.observeAnalysis("latency", time.Since(t0))
 		return res, err
 	})
 	s.met.cacheOutcome(state)
 	if err != nil {
-		return nil, state, err
+		return outcome{}, err
 	}
-	return val.(*repro.LatencyResult), state, nil
-}
-
-func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req analyzeRequest
-	body, err := s.decode(w, r, &req)
-	if err != nil {
-		s.fail(w, "latency", err)
-		return
-	}
-	sys, hash, err := req.system()
-	if err != nil {
-		s.fail(w, "latency", badRequestError{err})
-		return
-	}
-	if s.relayToOwner(w, r, "latency", hash, body) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	res, state, err := s.latencyResult(ctx, &req, sys, hash)
-	if err != nil {
-		s.fail(w, "latency", err)
-		return
-	}
-	if q := res.Quality; q.Degraded() {
-		// Metrics + Retry-After only: a latency trip says nothing about
-		// the DMM combination space, so it does not feed the breaker.
-		s.accountQuality("", map[string]int64{q.Budget: 1})
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
-	}
-	s.met.request("latency", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, latencyResponse{
-		Latency:    schema.FromLatency(res),
-		SystemHash: hash,
-		Cache:      state,
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
+	res := val.(*repro.LatencyResult)
+	return outcome{
+		body: &latencyResponse{
+			Latency:    schema.FromLatency(res),
+			SystemHash: q.hash,
+			Cache:      state,
+			ElapsedMS:  elapsedMS(q.start),
+		},
+		degraded: degradedBy(res.Quality),
+	}, nil
 }
 
 type verifyResponse struct {
@@ -583,67 +631,47 @@ type verifyResult struct {
 	Budget  string `json:"budget,omitempty"`
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	body, err := s.decode(w, r, &req)
-	if err != nil {
-		s.fail(w, "verify", err)
-		return
-	}
+func checkVerify(req *analyzeRequest) error {
 	if len(req.Constraints) == 0 {
-		s.fail(w, "verify", badRequestError{fmt.Errorf("request needs constraints")})
-		return
+		return fmt.Errorf("request needs constraints")
 	}
 	for _, c := range req.Constraints {
 		if !(repro.Constraint{M: c.M, K: c.K}).Valid() {
-			s.fail(w, "verify", badRequestError{fmt.Errorf("invalid constraint (m=%d, k=%d): need 0 ≤ m < k", c.M, c.K)})
-			return
+			return fmt.Errorf("invalid constraint (m=%d, k=%d): need 0 ≤ m < k", c.M, c.K)
 		}
 	}
-	sys, hash, err := req.system()
+	return nil
+}
+
+// verifyDoc checks the weakly-hard constraints against the DMM
+// artifact, under the same artifact key as the DMM endpoint: verifying
+// after analyzing (or vice versa) is a cache hit, and the request
+// routes to the replica owning the system like a DMM query does.
+func (s *Server) verifyDoc(ctx context.Context, q query) (outcome, error) {
+	an, _, state, err := s.dmmArtifact(ctx, q.req, q.sys, q.hash)
 	if err != nil {
-		s.fail(w, "verify", badRequestError{err})
-		return
+		return outcome{}, err
 	}
-	// Verification rides the DMM artifact, so it routes to the replica
-	// owning the system like the DMM endpoint does.
-	if s.relayToOwner(w, r, "verify", hash, body) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	// Same artifact key as the DMM endpoint: verifying after analyzing
-	// (or vice versa) is a cache hit.
-	an, _, state, err := s.dmmArtifact(ctx, &req, sys, hash)
-	if err != nil {
-		s.fail(w, "verify", err)
-		return
-	}
-	resp := verifyResponse{SchemaVersion: schema.Version, Chain: req.Chain, SystemHash: hash, Cache: state}
-	var degraded map[string]int64
-	for _, c := range req.Constraints {
+	resp := &verifyResponse{SchemaVersion: schema.Version, Chain: q.req.Chain, SystemHash: q.hash, Cache: state}
+	out := outcome{body: resp, breaker: true}
+	for _, c := range q.req.Constraints {
 		r, err := an.DMMCtx(ctx, c.K)
 		if err != nil {
-			s.fail(w, "verify", err)
-			return
+			return outcome{}, err
 		}
-		s.met.addILPNodes(r.ILPNodes)
+		s.met.ilpNodes.Add(r.ILPNodes)
 		if r.Quality.Degraded() {
-			if degraded == nil {
-				degraded = make(map[string]int64)
+			if out.degraded == nil {
+				out.degraded = make(map[string]int64)
 			}
-			degraded[r.Quality.Budget]++
+			out.degraded[r.Quality.Budget]++
 		}
 		resp.Results = append(resp.Results, verifyResult{
 			M: c.M, K: c.K, Holds: r.Value <= c.M, DMM: r.Value,
 			Quality: r.Quality.Quality.String(), Budget: r.Quality.Budget,
 		})
 	}
-	if s.accountQuality(hash, degraded) {
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
-	}
-	s.met.request("verify", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, resp)
+	return out, nil
 }
 
 // sensitivityResponse is schema.Sensitivity plus service envelope
@@ -671,10 +699,10 @@ type sensitivityResponse struct {
 // content alone); probes on unhashable perturbations bypass the cache.
 //
 // Probes stay node-local on purpose: a sensitivity query relays as a
-// whole to the replica owning the nominal system (see
-// handleSensitivity), and once there, fanning its probes back out over
-// the ring would trade warm-start locality — the dominant cost saver —
-// for cross-replica LRU space of perturbed one-off systems.
+// whole to the replica owning the nominal system (see serve), and once
+// there, fanning its probes back out over the ring would trade
+// warm-start locality — the dominant cost saver — for cross-replica LRU
+// space of perturbed one-off systems.
 func (s *Server) probeAnalyze(optfp string) repro.ProbeFunc {
 	return func(ctx context.Context, sys *repro.System, hash, chain string, opts repro.Options, warm *repro.WarmStart) (*repro.Analysis, error) {
 		run := func(fctx context.Context) (any, error) {
@@ -701,60 +729,45 @@ func (s *Server) probeAnalyze(optfp string) repro.ProbeFunc {
 	}
 }
 
-func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req analyzeRequest
-	body, err := s.decode(w, r, &req)
-	if err != nil {
-		s.fail(w, "sensitivity", err)
-		return
-	}
+func checkSensitivity(req *analyzeRequest) error {
 	if req.Sensitivity == nil {
-		s.fail(w, "sensitivity", badRequestError{fmt.Errorf("request needs a sensitivity block")})
-		return
+		return fmt.Errorf("request needs a sensitivity block")
 	}
-	sys, hash, err := req.system()
-	if err != nil {
-		s.fail(w, "sensitivity", badRequestError{err})
-		return
-	}
-	if s.relayToOwner(w, r, "sensitivity", hash, body) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	// The whole result is cached under the query fingerprint; the gate is
-	// taken per probe inside probeAnalyze, not here, so a query's fan-out
-	// cannot deadlock against its own admission slot.
-	optfp := req.Options.fingerprint()
-	key := artifactKey("sens", hash, req.Chain, optfp+"|"+req.Sensitivity.fingerprint())
+	return nil
+}
+
+// sensitivityDoc answers a sensitivity query. The whole result is
+// cached under the query fingerprint; the gate is taken per probe
+// inside probeAnalyze, not here, so a query's fan-out cannot deadlock
+// against its own admission slot.
+func (s *Server) sensitivityDoc(ctx context.Context, q query) (outcome, error) {
+	optfp := q.req.Options.fingerprint()
+	key := artifactKey("sens", q.hash, q.req.Chain, optfp+"|"+q.req.Sensitivity.fingerprint())
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: req.Options.twca()}.
-			SensitivityWarm(fctx, req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
+		res, err := repro.AnalysisRequest{System: q.sys, Chain: q.req.Chain, Options: q.req.Options.twca()}.
+			SensitivityWarm(fctx, q.req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
 		s.met.observeAnalysis("sensitivity", time.Since(t0))
 		if err == nil {
-			s.met.addBisectionSteps(res.Probes)
+			s.met.bisectionSteps.Add(res.Probes)
 		}
 		return res, err
 	})
 	s.met.cacheOutcome(state)
 	if err != nil {
-		s.fail(w, "sensitivity", err)
-		return
+		return outcome{}, err
 	}
-	if q := val.(*repro.SensitivityResult).Quality; q.Degraded() {
-		s.accountQuality("", map[string]int64{q.Budget: 1})
-		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
-	}
-	s.met.request("sensitivity", http.StatusOK)
-	s.writeJSON(w, http.StatusOK, sensitivityResponse{
-		Sensitivity: schema.FromSensitivity(val.(*repro.SensitivityResult)),
-		SystemHash:  hash,
-		Cache:       state,
-		WarmStart:   !req.Sensitivity.NoWarmStart,
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-	})
+	res := val.(*repro.SensitivityResult)
+	return outcome{
+		body: &sensitivityResponse{
+			Sensitivity: schema.FromSensitivity(res),
+			SystemHash:  q.hash,
+			Cache:       state,
+			WarmStart:   !q.req.Sensitivity.NoWarmStart,
+			ElapsedMS:   elapsedMS(q.start),
+		},
+		degraded: degradedBy(res.Quality),
+	}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -150,16 +150,20 @@ func (h *heartbeat) record(peer string, probeErr error) {
 	}
 	h.mu.Unlock()
 
-	h.met.heartbeatProbe(probeErr == nil)
+	if probeErr == nil {
+		h.met.heartbeatOK.Add(1)
+	} else {
+		h.met.heartbeatFail.Add(1)
+	}
 	if markDown {
 		h.store.MarkDown(peer)
 		if transition {
-			h.met.heartbeatTransition(false)
+			h.met.heartbeatDowns.Add(1)
 		}
 	}
 	if markUp {
 		h.store.MarkUp(peer)
-		h.met.heartbeatTransition(true)
+		h.met.heartbeatUps.Add(1)
 	}
 }
 

@@ -87,10 +87,8 @@ func TestHeartbeatStateMachine(t *testing.T) {
 		t.Errorf("downPeers() after recovery = %v, want none", got)
 	}
 
-	h.met.mu.Lock()
-	ups, downs := h.met.heartbeatUps, h.met.heartbeatDowns
-	okProbes, failProbes := h.met.heartbeatOK, h.met.heartbeatFail
-	h.met.mu.Unlock()
+	ups, downs := h.met.heartbeatUps.Load(), h.met.heartbeatDowns.Load()
+	okProbes, failProbes := h.met.heartbeatOK.Load(), h.met.heartbeatFail.Load()
 	if ups != 1 || downs != 1 {
 		t.Errorf("transitions = %d up / %d down, want 1/1", ups, downs)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/store"
@@ -13,62 +14,68 @@ import (
 
 // metrics is the service's observability surface, exposed in
 // Prometheus text exposition format at /metrics. It is deliberately
-// dependency-free: a handful of mutex-guarded counters and fixed-bucket
-// histograms cover request accounting, cache effectiveness and
-// analysis cost without pulling a client library into the module.
+// dependency-free: atomic counters, a few mutex-guarded labelled maps
+// and fixed-bucket histograms cover request accounting, cache
+// effectiveness and analysis cost without pulling a client library
+// into the module. Call sites Add to the counters directly.
 type metrics struct {
 	start time.Time
 
-	mu sync.Mutex
-	// requests counts finished HTTP requests by "endpoint|status".
-	requests map[string]int64
 	// cache effectiveness: a hit answered from the LRU, a miss ran the
 	// analysis, a coalesced request piggybacked on an in-flight one, a
 	// peer outcome was relayed to (and answered by) the replica owning
 	// the model hash.
-	cacheHits, cacheMisses, cacheCoalesced, cachePeer int64
+	cacheHits, cacheMisses, cacheCoalesced, cachePeer atomic.Int64
 	// campaign item outcomes: ok lines versus campaign_partial lines
 	// across all /v1/campaign streams.
-	campaignOK, campaignFailed int64
+	campaignOK, campaignFailed atomic.Int64
 	// ilpNodes accumulates branch-and-bound nodes across all DMM
 	// queries — the "how hard is the solver working" counter.
-	ilpNodes int64
+	ilpNodes atomic.Int64
 	// sensitivity effort: bisectionSteps accumulates predicate
 	// evaluations across sensitivity queries, sensProbes the
 	// perturbed-system analyses they requested, and the probe cache
 	// counters split those by how the shared artifact cache answered
 	// (probes on unhashable perturbations bypass the cache and appear in
 	// no outcome bucket).
-	bisectionSteps                         int64
-	sensProbes                             int64
-	probeHits, probeMisses, probeCoalesced int64
+	bisectionSteps                         atomic.Int64
+	sensProbes                             atomic.Int64
+	probeHits, probeMisses, probeCoalesced atomic.Int64
+	// workerPanics counts analyses that failed because a worker task
+	// panicked (recovered to an error; the process survived).
+	workerPanics atomic.Int64
+	// fleet relay resilience counters: retries walked to the next ring
+	// arc, hedged attempts launched and won (the hedge, not the primary,
+	// resolved the race), responses truncated mid-stream by a dying
+	// peer, and 429 throttles propagated instead of being treated as
+	// peer death.
+	relayRetries, relayHedges, relayHedgeWins atomic.Int64
+	relayTruncations, relayThrottles          atomic.Int64
+	// heartbeat prober counters: probes by result and up/down state
+	// transitions driven into the store.
+	heartbeatOK, heartbeatFail   atomic.Int64
+	heartbeatUps, heartbeatDowns atomic.Int64
+	// propagationFailures counts members that could not be told about
+	// a membership mutation (best-effort; the loop guard keeps the stale
+	// view safe).
+	propagationFailures atomic.Int64
+
+	mu sync.Mutex
+	// requests counts finished HTTP requests by "endpoint|status".
+	requests map[string]int64
 	// degradedResults counts responses answered below Exact quality,
 	// keyed by the exhausted budget ("deadline", "ilp-nodes",
 	// "combinations", "breaker", ...).
 	degradedResults map[string]int64
-	// workerPanics counts analyses that failed because a worker task
-	// panicked (recovered to an error; the process survived).
-	workerPanics int64
-	// fleet relay resilience counters: retries walked to the next ring
-	// arc, hedged attempts launched and won, responses truncated
-	// mid-stream by a dying peer, and 429 throttles propagated instead
-	// of being treated as peer death.
-	relayRetries, relayHedges, relayHedgeWins int64
-	relayTruncations, relayThrottles          int64
-	// heartbeat prober counters: probes by result and up/down state
-	// transitions driven into the store.
-	heartbeatOK, heartbeatFail   int64
-	heartbeatUps, heartbeatDowns int64
-	// membership admin counters: applied mutations by endpoint and
-	// best-effort propagations that failed.
-	membershipChanges   map[string]int64
-	propagationFailures int64
-	// membership samples the store's versioned membership view at
-	// scrape time (nil on a single-node service).
-	membership func() store.Membership
+	// membershipChanges counts applied cluster mutations by endpoint.
+	membershipChanges map[string]int64
 	// analysis duration histograms by kind ("dmm", "latency",
 	// "sensitivity").
 	durations map[string]*histogram
+
+	// membership samples the store's versioned membership view at
+	// scrape time (nil on a single-node service).
+	membership func() store.Membership
 	// inflight is sampled from the admission gate at scrape time.
 	inflight func() int
 	// breakerOpen/breakerTrips are sampled from the per-system circuit
@@ -128,29 +135,15 @@ func (m *metrics) request(endpoint string, status int) {
 }
 
 func (m *metrics) cacheOutcome(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	switch state {
 	case store.OutcomeHit:
-		m.cacheHits++
+		m.cacheHits.Add(1)
 	case store.OutcomeMiss:
-		m.cacheMisses++
+		m.cacheMisses.Add(1)
 	case store.OutcomeCoalesced:
-		m.cacheCoalesced++
+		m.cacheCoalesced.Add(1)
 	case store.OutcomePeer:
-		m.cachePeer++
-	}
-}
-
-// campaignItem accounts one streamed campaign line: a result document
-// (ok) or a campaign_partial error line.
-func (m *metrics) campaignItem(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.campaignOK++
-	} else {
-		m.campaignFailed++
+		m.cachePeer.Add(1)
 	}
 }
 
@@ -165,33 +158,19 @@ func (m *metrics) observeAnalysis(kind string, d time.Duration) {
 	h.observe(d.Seconds())
 }
 
-func (m *metrics) addILPNodes(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ilpNodes += n
-}
-
 // sensitivityProbe accounts one perturbed-system analysis requested by a
 // sensitivity query; state is the artifact-cache outcome, or "" when the
 // probe bypassed the cache.
 func (m *metrics) sensitivityProbe(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sensProbes++
+	m.sensProbes.Add(1)
 	switch state {
 	case store.OutcomeHit:
-		m.probeHits++
+		m.probeHits.Add(1)
 	case store.OutcomeMiss:
-		m.probeMisses++
+		m.probeMisses.Add(1)
 	case store.OutcomeCoalesced:
-		m.probeCoalesced++
+		m.probeCoalesced.Add(1)
 	}
-}
-
-func (m *metrics) addBisectionSteps(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bisectionSteps += n
 }
 
 // degraded accounts n results answered below Exact quality under the
@@ -202,110 +181,12 @@ func (m *metrics) degraded(budget string, n int64) {
 	m.degradedResults[budget] += n
 }
 
-// workerPanic accounts one recovered worker-task panic.
-func (m *metrics) workerPanic() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.workerPanics++
-}
-
-// relayRetry accounts one relay attempt retried onto the next ring arc.
-func (m *metrics) relayRetry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.relayRetries++
-}
-
-// relayHedge accounts hedging: launched (won=false) when the slow-peer
-// threshold fires a second attempt, won (won=true) when a hedged race
-// was resolved by the hedge rather than the primary finishing alone.
-func (m *metrics) relayHedge(won bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if won {
-		m.relayHedgeWins++
-	} else {
-		m.relayHedges++
-	}
-}
-
-// relayTruncated accounts one relayed response cut off mid-stream by a
-// dying peer (the bytes already sent are short; the peer is marked
-// down by the caller).
-func (m *metrics) relayTruncated() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.relayTruncations++
-}
-
-// relayThrottle accounts one 429 answered by a peer — admission
-// control propagated, never counted as peer death.
-func (m *metrics) relayThrottle() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.relayThrottles++
-}
-
-// heartbeatProbe accounts one health probe round-trip.
-func (m *metrics) heartbeatProbe(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.heartbeatOK++
-	} else {
-		m.heartbeatFail++
-	}
-}
-
-// heartbeatTransition accounts one probe-driven peer state edge.
-func (m *metrics) heartbeatTransition(up bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if up {
-		m.heartbeatUps++
-	} else {
-		m.heartbeatDowns++
-	}
-}
-
 // membershipChange accounts one applied cluster mutation by endpoint
 // ("cluster_join"/"cluster_leave").
 func (m *metrics) membershipChange(endpoint string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.membershipChanges[endpoint]++
-}
-
-// membershipPropagationFailure accounts one member that could not be
-// told about a mutation (best-effort; the loop guard keeps the stale
-// view safe).
-func (m *metrics) membershipPropagationFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.propagationFailures++
-}
-
-// degradedTotal reports the total degraded results across budgets.
-func (m *metrics) degradedTotal() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, n := range m.degradedResults {
-		total += n
-	}
-	return total
-}
-
-// hitRatio returns hits / (hits + misses + coalesced), or 0 before any
-// cacheable request.
-func (m *metrics) hitRatio() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := m.cacheHits + m.cacheMisses + m.cacheCoalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(m.cacheHits) / float64(total)
 }
 
 // write renders the Prometheus text exposition. Keys are emitted in
@@ -338,12 +219,13 @@ func (m *metrics) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP twca_cache_requests_total Analysis cache lookups by outcome.\n")
 	fmt.Fprintf(w, "# TYPE twca_cache_requests_total counter\n")
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"hit\"} %d\n", m.cacheHits)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"miss\"} %d\n", m.cacheMisses)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"coalesced\"} %d\n", m.cacheCoalesced)
-	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"peer\"} %d\n", m.cachePeer)
+	hits, misses, coalesced := m.cacheHits.Load(), m.cacheMisses.Load(), m.cacheCoalesced.Load()
+	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"hit\"} %d\n", hits)
+	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"miss\"} %d\n", misses)
+	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"coalesced\"} %d\n", coalesced)
+	fmt.Fprintf(w, "twca_cache_requests_total{outcome=\"peer\"} %d\n", m.cachePeer.Load())
 
-	hits, total := m.cacheHits, m.cacheHits+m.cacheMisses+m.cacheCoalesced
+	total := hits + misses + coalesced
 	ratio := 0.0
 	if total > 0 {
 		ratio = float64(hits) / float64(total)
@@ -376,26 +258,26 @@ func (m *metrics) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP twca_campaign_items_total Streamed campaign lines by result.\n")
 	fmt.Fprintf(w, "# TYPE twca_campaign_items_total counter\n")
-	fmt.Fprintf(w, "twca_campaign_items_total{result=\"ok\"} %d\n", m.campaignOK)
-	fmt.Fprintf(w, "twca_campaign_items_total{result=\"partial\"} %d\n", m.campaignFailed)
+	fmt.Fprintf(w, "twca_campaign_items_total{result=\"ok\"} %d\n", m.campaignOK.Load())
+	fmt.Fprintf(w, "twca_campaign_items_total{result=\"partial\"} %d\n", m.campaignFailed.Load())
 
 	fmt.Fprintf(w, "# HELP twca_ilp_nodes_total Branch-and-bound nodes explored by DMM queries.\n")
 	fmt.Fprintf(w, "# TYPE twca_ilp_nodes_total counter\n")
-	fmt.Fprintf(w, "twca_ilp_nodes_total %d\n", m.ilpNodes)
+	fmt.Fprintf(w, "twca_ilp_nodes_total %d\n", m.ilpNodes.Load())
 
 	fmt.Fprintf(w, "# HELP twca_sensitivity_bisection_steps_total Predicate evaluations across sensitivity bisection searches.\n")
 	fmt.Fprintf(w, "# TYPE twca_sensitivity_bisection_steps_total counter\n")
-	fmt.Fprintf(w, "twca_sensitivity_bisection_steps_total %d\n", m.bisectionSteps)
+	fmt.Fprintf(w, "twca_sensitivity_bisection_steps_total %d\n", m.bisectionSteps.Load())
 
 	fmt.Fprintf(w, "# HELP twca_sensitivity_probes_total Perturbed-system analyses requested by sensitivity queries.\n")
 	fmt.Fprintf(w, "# TYPE twca_sensitivity_probes_total counter\n")
-	fmt.Fprintf(w, "twca_sensitivity_probes_total %d\n", m.sensProbes)
+	fmt.Fprintf(w, "twca_sensitivity_probes_total %d\n", m.sensProbes.Load())
 
 	fmt.Fprintf(w, "# HELP twca_sensitivity_probe_cache_total Sensitivity probe lookups in the shared artifact cache by outcome.\n")
 	fmt.Fprintf(w, "# TYPE twca_sensitivity_probe_cache_total counter\n")
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"hit\"} %d\n", m.probeHits)
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"miss\"} %d\n", m.probeMisses)
-	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"coalesced\"} %d\n", m.probeCoalesced)
+	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"hit\"} %d\n", m.probeHits.Load())
+	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"miss\"} %d\n", m.probeMisses.Load())
+	fmt.Fprintf(w, "twca_sensitivity_probe_cache_total{outcome=\"coalesced\"} %d\n", m.probeCoalesced.Load())
 
 	if m.warmStats != nil {
 		hits, misses, injected := m.warmStats()
@@ -419,34 +301,34 @@ func (m *metrics) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP twca_worker_panics_total Analyses failed by a recovered worker-task panic.\n")
 	fmt.Fprintf(w, "# TYPE twca_worker_panics_total counter\n")
-	fmt.Fprintf(w, "twca_worker_panics_total %d\n", m.workerPanics)
+	fmt.Fprintf(w, "twca_worker_panics_total %d\n", m.workerPanics.Load())
 
 	fmt.Fprintf(w, "# HELP twca_fleet_relay_retries_total Relay attempts retried onto the next ring arc.\n")
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_retries_total counter\n")
-	fmt.Fprintf(w, "twca_fleet_relay_retries_total %d\n", m.relayRetries)
+	fmt.Fprintf(w, "twca_fleet_relay_retries_total %d\n", m.relayRetries.Load())
 
 	fmt.Fprintf(w, "# HELP twca_fleet_relay_hedges_total Hedged relay attempts by outcome.\n")
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_hedges_total counter\n")
-	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"launched\"} %d\n", m.relayHedges)
-	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"won\"} %d\n", m.relayHedgeWins)
+	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"launched\"} %d\n", m.relayHedges.Load())
+	fmt.Fprintf(w, "twca_fleet_relay_hedges_total{outcome=\"won\"} %d\n", m.relayHedgeWins.Load())
 
 	fmt.Fprintf(w, "# HELP twca_fleet_relay_truncated_total Relayed responses cut off mid-stream by a dying peer.\n")
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_truncated_total counter\n")
-	fmt.Fprintf(w, "twca_fleet_relay_truncated_total %d\n", m.relayTruncations)
+	fmt.Fprintf(w, "twca_fleet_relay_truncated_total %d\n", m.relayTruncations.Load())
 
 	fmt.Fprintf(w, "# HELP twca_fleet_relay_throttled_total Relays answered 429 by a live peer (propagated, not a failure).\n")
 	fmt.Fprintf(w, "# TYPE twca_fleet_relay_throttled_total counter\n")
-	fmt.Fprintf(w, "twca_fleet_relay_throttled_total %d\n", m.relayThrottles)
+	fmt.Fprintf(w, "twca_fleet_relay_throttled_total %d\n", m.relayThrottles.Load())
 
 	fmt.Fprintf(w, "# HELP twca_heartbeat_probes_total Peer health probes by result.\n")
 	fmt.Fprintf(w, "# TYPE twca_heartbeat_probes_total counter\n")
-	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"ok\"} %d\n", m.heartbeatOK)
-	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"fail\"} %d\n", m.heartbeatFail)
+	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"ok\"} %d\n", m.heartbeatOK.Load())
+	fmt.Fprintf(w, "twca_heartbeat_probes_total{result=\"fail\"} %d\n", m.heartbeatFail.Load())
 
 	fmt.Fprintf(w, "# HELP twca_heartbeat_transitions_total Probe-driven peer state transitions.\n")
 	fmt.Fprintf(w, "# TYPE twca_heartbeat_transitions_total counter\n")
-	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"up\"} %d\n", m.heartbeatUps)
-	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"down\"} %d\n", m.heartbeatDowns)
+	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"up\"} %d\n", m.heartbeatUps.Load())
+	fmt.Fprintf(w, "twca_heartbeat_transitions_total{to=\"down\"} %d\n", m.heartbeatDowns.Load())
 
 	fmt.Fprintf(w, "# HELP twca_cluster_membership_changes_total Applied cluster membership mutations by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE twca_cluster_membership_changes_total counter\n")
@@ -461,7 +343,7 @@ func (m *metrics) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP twca_cluster_propagation_failures_total Members unreachable during best-effort mutation propagation.\n")
 	fmt.Fprintf(w, "# TYPE twca_cluster_propagation_failures_total counter\n")
-	fmt.Fprintf(w, "twca_cluster_propagation_failures_total %d\n", m.propagationFailures)
+	fmt.Fprintf(w, "twca_cluster_propagation_failures_total %d\n", m.propagationFailures.Load())
 
 	if m.membership != nil {
 		mb := m.membership()

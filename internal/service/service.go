@@ -297,10 +297,9 @@ func New(cfg Config) (*Server, error) {
 		return st.Hits, st.Misses, st.Injected
 	}
 
-	s.mux.HandleFunc("POST /v1/analyze/dmm", s.handleDMM)
-	s.mux.HandleFunc("POST /v1/analyze/latency", s.handleLatency)
-	s.mux.HandleFunc("POST /v1/analyze/sensitivity", s.handleSensitivity)
-	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
+	for name, ep := range endpoints {
+		s.mux.HandleFunc("POST "+ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, name, ep) })
+	}
 	s.mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
 	s.mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
 	s.mux.HandleFunc("POST /v1/cluster/leave", s.handleClusterLeave)
@@ -387,12 +386,6 @@ func (s *Server) Close() {
 		<-s.hbStopped
 	}
 	s.store.Close()
-}
-
-// requestCtx derives the analysis context for one request: the client's
-// context (canceled on disconnect) bounded by the per-request deadline.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
 // StoreStats exposes the artifact store's counters (cluster tests and

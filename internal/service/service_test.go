@@ -443,9 +443,7 @@ func TestSensitivityProbeReuse(t *testing.T) {
 	if status, doc := post(t, ts.URL+"/v1/analyze/sensitivity", base); status != http.StatusOK {
 		t.Fatalf("first query = %d: %v", status, doc["error"])
 	}
-	svc.met.mu.Lock()
-	hitsBefore := svc.met.probeHits
-	svc.met.mu.Unlock()
+	hitsBefore := svc.met.probeHits.Load()
 	warmBefore := svc.warm.Stats().Hits
 
 	other := base
@@ -453,9 +451,7 @@ func TestSensitivityProbeReuse(t *testing.T) {
 	if status, doc := post(t, ts.URL+"/v1/analyze/sensitivity", other); status != http.StatusOK {
 		t.Fatalf("second query = %d: %v", status, doc["error"])
 	}
-	svc.met.mu.Lock()
-	hitsAfter := svc.met.probeHits
-	svc.met.mu.Unlock()
+	hitsAfter := svc.met.probeHits.Load()
 	warmAfter := svc.warm.Stats().Hits
 	if hitsAfter <= hitsBefore && warmAfter <= warmBefore {
 		t.Errorf("second query reused no probe artifacts (cache hits %d -> %d, warm hits %d -> %d)",

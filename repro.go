@@ -511,25 +511,6 @@ func AnalyzeDMMBaseline(sys *System, chain string, opts Options) (*Analysis, err
 	return AnalysisRequest{System: sys, Chain: chain, Options: opts}.DMM(context.Background())
 }
 
-// AnalyzeSensitivity measures the named chain's distance to violating a
-// weakly-hard constraint; see AnalysisRequest.Sensitivity for the full
-// contract.
-//
-// Deprecated: use AnalysisRequest.Sensitivity, which bundles the inputs
-// shared by every analysis kind. This wrapper remains for source
-// compatibility.
-func AnalyzeSensitivity(sys *System, chain string, opts Options, sopts SensitivityOptions) (*SensitivityResult, error) {
-	return AnalyzeSensitivityCtx(context.Background(), sys, chain, opts, sopts)
-}
-
-// AnalyzeSensitivityCtx is AnalyzeSensitivity with cooperative
-// cancellation; see AnalysisRequest.DMM for the error contract.
-//
-// Deprecated: use AnalysisRequest.Sensitivity.
-func AnalyzeSensitivityCtx(ctx context.Context, sys *System, chain string, opts Options, sopts SensitivityOptions) (*SensitivityResult, error) {
-	return AnalysisRequest{System: sys, Chain: chain, Options: opts}.Sensitivity(ctx, sopts)
-}
-
 // Simulate runs the discrete-event simulator.
 func Simulate(sys *System, cfg SimConfig) (*SimResult, error) {
 	return SimulateCtx(context.Background(), sys, cfg)
