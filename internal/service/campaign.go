@@ -166,7 +166,7 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	}
 	q := query{req: &item.analyzeRequest, start: time.Now()}
 	var err error
-	if q.sys, q.hash, err = q.req.system(); err != nil {
+	if q.sys, q.hash, err = s.system(q.req); err != nil {
 		return partialLine(line, err.Error(), "bad_request")
 	}
 	line.SystemHash = q.hash

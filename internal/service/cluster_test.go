@@ -425,7 +425,8 @@ func postRaw(t testing.TB, url string, body []byte) (int, []byte, http.Header) {
 // every analysis endpoint: the same query answered by the replica that
 // owns the system, by a non-owner (which relays it to the owner), and by
 // an isolated single node yields byte-identical bodies once the cache
-// outcome and wall time are removed.
+// outcome and wall time are removed — on a system digest memo miss and
+// on a memo hit alike.
 func TestClusterEndpointByteIdentity(t *testing.T) {
 	c := newCluster(t, 3, Config{HedgeDelay: -1})
 	_, single := newTestServer(t, Config{})
@@ -465,17 +466,35 @@ func TestClusterEndpointByteIdentity(t *testing.T) {
 				}
 			}
 			want = envelopeLine.ReplaceAll(want, nil)
-			for _, target := range []struct{ name, url string }{{"owner", owner}, {"non-owner", nonOwner}} {
+			// Each target answers twice: the first resolves the system's
+			// hash by parsing it, the repeat from the digest memo (on the
+			// non-owner and, behind the relay, on the owner).
+			memoHits := func() (n int64) {
+				for _, svc := range c.svcs {
+					n += svc.met.memoHits.Load()
+				}
+				return n
+			}
+			hits := memoHits()
+			for _, target := range []struct{ name, url string }{
+				{"owner", owner}, {"owner repeat", owner}, {"non-owner", nonOwner}, {"non-owner repeat", nonOwner},
+			} {
 				status, got, hdr := postRaw(t, target.url+tc.path, body)
 				if status != http.StatusOK {
 					t.Fatalf("%s answered %d: %s", target.name, status, got)
 				}
 				if served := hdr.Get(servedByHeader); target.url == nonOwner && served != owner {
-					t.Errorf("non-owner response served by %q, want the owner %q", served, owner)
+					t.Errorf("%s response served by %q, want the owner %q", target.name, served, owner)
 				}
 				if got = envelopeLine.ReplaceAll(got, nil); !bytes.Equal(got, want) {
 					t.Errorf("%s body differs from the single node's:\ngot:  %s\nwant: %s", target.name, got, want)
 				}
+			}
+			// At least: owner repeat 1, non-owner 1 (on the owner),
+			// non-owner repeat 2. Earlier subtests sent the same system, so
+			// the first owner and non-owner requests may hit as well.
+			if got := memoHits() - hits; got < 4 {
+				t.Errorf("fleet memo hits grew by %d, want at least 4", got)
 			}
 		})
 	}

@@ -23,6 +23,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"system": "not an object", "system_dsl": "also set"}`))
 	f.Add([]byte(`{"breakpoints_max_k": 1e308}`))
 
+	srv, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req analyzeRequest
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -32,7 +37,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// Decoded bodies flow on: materialization and option validation
 		// must reject garbage with errors, never panic.
-		if _, _, err := req.system(); err != nil {
+		if _, _, err := srv.system(&req); err != nil {
 			return
 		}
 		_ = req.Options.twca().Validate()

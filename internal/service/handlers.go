@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,32 +180,82 @@ func (rs reqSensitivity) options() repro.SensitivityOptions {
 // %+v is a stable, total rendering (pinned by TestFingerprintPinned).
 func (rs reqSensitivity) fingerprint() string { return fmt.Sprintf("%+v", rs) }
 
-// system materializes the request's system description and its
-// canonical content hash.
-func (req *analyzeRequest) system() (*repro.System, string, error) {
-	var sys *repro.System
+// Form tags of the system digest: the same bytes in the other form are
+// a different system description.
+const (
+	formJSON = 'j'
+	formDSL  = 'd'
+)
+
+// digest is the memo key of the request's system description: the
+// SHA-256 of its form tag and its exact bytes as received. The DSL text
+// streams through a stack buffer, so hashing copies no system to the
+// heap.
+func (req *analyzeRequest) digest() (string, error) {
+	h := sha256.New()
+	var buf [512]byte
 	switch {
 	case len(req.System) > 0 && req.SystemDSL != "":
-		return nil, "", fmt.Errorf("request has both system and system_dsl")
+		return "", fmt.Errorf("request has both system and system_dsl")
 	case len(req.System) > 0:
+		h.Write(append(buf[:0], formJSON))
+		h.Write(req.System)
+	case req.SystemDSL != "":
+		h.Write(append(buf[:0], formDSL))
+		for src := req.SystemDSL; len(src) > 0; {
+			n := copy(buf[:], src)
+			h.Write(buf[:n])
+			src = src[n:]
+		}
+	default:
+		return "", fmt.Errorf("request needs a system or system_dsl")
+	}
+	return string(h.Sum(buf[:0])), nil
+}
+
+// parse builds the model of the request's system description.
+func (req *analyzeRequest) parse() (*repro.System, error) {
+	if len(req.System) > 0 {
 		var s repro.System
 		if err := json.Unmarshal(req.System, &s); err != nil {
-			return nil, "", fmt.Errorf("bad system: %w", err)
+			return nil, fmt.Errorf("bad system: %w", err)
 		}
-		sys = &s
-	case req.SystemDSL != "":
-		s, err := repro.ParseDSL(req.SystemDSL)
-		if err != nil {
-			return nil, "", fmt.Errorf("bad system_dsl: %w", err)
-		}
-		sys = s
-	default:
-		return nil, "", fmt.Errorf("request needs a system or system_dsl")
+		return &s, nil
+	}
+	s, err := repro.ParseDSL(req.SystemDSL)
+	if err != nil {
+		return nil, fmt.Errorf("bad system_dsl: %w", err)
+	}
+	return s, nil
+}
+
+// system resolves the request's system to its canonical content hash.
+// A system whose exact bytes were seen before is answered from the
+// digest memo without building a model (the returned *System is nil);
+// otherwise the system is parsed and hashed here, and the hash is
+// memoized. Only successful parses are memoized, so a bad system fails
+// on every repeat. The memo is sound because the canonical hash is a
+// deterministic function of the form and the bytes: a repeat would
+// parse, validate and hash exactly as the first request did.
+func (s *Server) system(req *analyzeRequest) (*repro.System, string, error) {
+	key, err := req.digest()
+	if err != nil {
+		return nil, "", err
+	}
+	if hash, ok := s.memo.Peek(key); ok {
+		s.met.memoHits.Add(1)
+		return nil, hash.(string), nil
+	}
+	s.met.memoMisses.Add(1)
+	sys, err := req.parse()
+	if err != nil {
+		return nil, "", err
 	}
 	hash, err := repro.CanonicalHash(sys)
 	if err != nil {
 		return nil, "", fmt.Errorf("system not hashable: %w", err)
 	}
+	s.memo.Add(key, hash)
 	return sys, hash, nil
 }
 
@@ -219,9 +270,13 @@ type errorResponse struct {
 }
 
 // classify maps a facade or service error to its HTTP status and
-// sentinel name.
+// sentinel name. Decode/parse failures (wrapped in badRequestError) are
+// 400 regardless of their cause.
 func classify(err error) (int, string) {
+	var bad badRequestError
 	switch {
+	case errors.As(err, &bad):
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, repro.ErrNoChain):
 		return http.StatusNotFound, "no_chain"
 	case errors.Is(err, repro.ErrInvalidOptions):
@@ -281,17 +336,12 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// fail renders err and accounts the request. Decode/parse failures
-// (wrapped in badRequestError) are 400 regardless of their cause.
-// During a drain, cancellation and timeout failures are reported as 503
-// + Retry-After: the work was lost to the shutdown, not to the system,
-// and a retry hits a healthy instance.
+// fail renders err and accounts the request. During a drain,
+// cancellation and timeout failures are reported as 503 + Retry-After:
+// the work was lost to the shutdown, not to the system, and a retry
+// hits a healthy instance.
 func (s *Server) fail(w http.ResponseWriter, endpoint string, err error) {
 	status, kind := classify(err)
-	var bad badRequestError
-	if errors.As(err, &bad) {
-		status, kind = http.StatusBadRequest, "bad_request"
-	}
 	if s.draining.Load() && (status == StatusClientClosedRequest || status == http.StatusGatewayTimeout) {
 		status, kind = http.StatusServiceUnavailable, "draining"
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.DrainTimeout))
@@ -355,12 +405,27 @@ var endpoints = map[string]*endpoint{
 }
 
 // query is one decoded analysis request on its way through the
-// pipeline.
+// pipeline. It always carries the system's hash, and the model only
+// when this request already parsed it (a digest-memo miss).
 type query struct {
 	req   *analyzeRequest
 	sys   *repro.System
 	hash  string
 	start time.Time
+}
+
+// model returns the request's system model, parsing it now when the
+// hash came from the digest memo. The document functions call it only
+// inside a store flight, so a warm hit never builds a model.
+func (q query) model() (*repro.System, error) {
+	if q.sys != nil {
+		return q.sys, nil
+	}
+	sys, err := q.req.parse()
+	if err != nil {
+		return nil, badRequestError{err}
+	}
+	return sys, nil
 }
 
 // outcome is an endpoint's answer: the 200 body, plus what quality
@@ -400,7 +465,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, name string, ep *
 		err = ep.check(q.req)
 	}
 	if err == nil {
-		q.sys, q.hash, err = q.req.system()
+		q.sys, q.hash, err = s.system(q.req)
 	}
 	if err != nil {
 		s.fail(w, name, badRequestError{err})
@@ -478,10 +543,10 @@ func elapsedMS(start time.Time) float64 {
 // "|degraded" key — a degraded artifact can never be mistaken for, or
 // shadow, an exact one. Before going degraded, the exact key is peeked:
 // a cached exact artifact always wins over running a degraded analysis.
-func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *repro.System, hash string) (*repro.Analysis, string, string, error) {
-	key := artifactKey("dmm", hash, req.Chain, req.Options.fingerprint())
-	opts := req.Options.twca()
-	if !req.Options.NoDegrade && s.breaker.open(hash) {
+func (s *Server) dmmArtifact(ctx context.Context, q query) (*repro.Analysis, string, string, error) {
+	key := artifactKey("dmm", q.hash, q.req.Chain, q.req.Options.fingerprint())
+	opts := q.req.Options.twca()
+	if !q.req.Options.NoDegrade && s.breaker.open(q.hash) {
 		if val, ok := s.store.Peek(key); ok {
 			s.met.cacheOutcome(store.OutcomeHit)
 			return val.(*repro.Analysis), key, store.OutcomeHit, nil
@@ -494,12 +559,16 @@ func (s *Server) dmmArtifact(ctx context.Context, req *analyzeRequest, sys *repr
 		defer s.store.Forget(key + "|degraded")
 	}
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		sys, err := q.model()
+		if err != nil {
+			return nil, err
+		}
 		if err := s.gate.Acquire(fctx); err != nil {
 			return nil, err
 		}
 		defer s.gate.Release()
 		t0 := time.Now()
-		an, err := repro.AnalysisRequest{System: sys, Chain: req.Chain, Options: opts}.DMM(fctx)
+		an, err := repro.AnalysisRequest{System: sys, Chain: q.req.Chain, Options: opts}.DMM(fctx)
 		s.met.observeAnalysis("dmm", time.Since(t0))
 		return an, err
 	})
@@ -535,7 +604,7 @@ func (r *dmmResponse) toLine(l schema.CampaignLine) schema.CampaignLine {
 // dmmDoc answers a DMM query: the artifact (cached, coalesced or fresh)
 // plus the assembled dmm sweep.
 func (s *Server) dmmDoc(ctx context.Context, q query) (outcome, error) {
-	an, key, state, err := s.dmmArtifact(ctx, q.req, q.sys, q.hash)
+	an, key, state, err := s.dmmArtifact(ctx, q)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -585,12 +654,16 @@ func (s *Server) latencyDoc(ctx context.Context, q query) (outcome, error) {
 	key := artifactKey("latency", q.hash, q.req.Chain, q.req.Options.fingerprint())
 	opts := q.req.Options.twca()
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		sys, err := q.model()
+		if err != nil {
+			return nil, err
+		}
 		if err := s.gate.Acquire(fctx); err != nil {
 			return nil, err
 		}
 		defer s.gate.Release()
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: q.sys, Chain: q.req.Chain, Options: opts}.Latency(fctx)
+		res, err := repro.AnalysisRequest{System: sys, Chain: q.req.Chain, Options: opts}.Latency(fctx)
 		s.met.observeAnalysis("latency", time.Since(t0))
 		return res, err
 	})
@@ -648,7 +721,7 @@ func checkVerify(req *analyzeRequest) error {
 // after analyzing (or vice versa) is a cache hit, and the request
 // routes to the replica owning the system like a DMM query does.
 func (s *Server) verifyDoc(ctx context.Context, q query) (outcome, error) {
-	an, _, state, err := s.dmmArtifact(ctx, q.req, q.sys, q.hash)
+	an, _, state, err := s.dmmArtifact(ctx, q)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -744,8 +817,12 @@ func (s *Server) sensitivityDoc(ctx context.Context, q query) (outcome, error) {
 	optfp := q.req.Options.fingerprint()
 	key := artifactKey("sens", q.hash, q.req.Chain, optfp+"|"+q.req.Sensitivity.fingerprint())
 	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+		sys, err := q.model()
+		if err != nil {
+			return nil, err
+		}
 		t0 := time.Now()
-		res, err := repro.AnalysisRequest{System: q.sys, Chain: q.req.Chain, Options: q.req.Options.twca()}.
+		res, err := repro.AnalysisRequest{System: sys, Chain: q.req.Chain, Options: q.req.Options.twca()}.
 			SensitivityWarm(fctx, q.req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
 		s.met.observeAnalysis("sensitivity", time.Since(t0))
 		if err == nil {

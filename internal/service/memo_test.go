@@ -1,0 +1,177 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"testing"
+
+	"repro"
+	"repro/internal/casestudy"
+	"repro/internal/schema"
+)
+
+// thalesDSL returns the paper's case study in the textual DSL form.
+func thalesDSL(t testing.TB) string {
+	t.Helper()
+	src, err := repro.FormatDSL(casestudy.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// memoQueries are one warm query per endpoint that a store hit answers
+// without analysis, with the system left for the caller to fill in.
+var memoQueries = []struct {
+	kind, path string
+	req        analyzeRequest
+}{
+	{"dmm", "/v1/analyze/dmm", analyzeRequest{Chain: "sigma_c", K: []int64{1, 3, 10, 100}}},
+	{"latency", "/v1/analyze/latency", analyzeRequest{Chain: "sigma_d"}},
+	{"verify", "/v1/verify", analyzeRequest{Chain: "sigma_c",
+		Constraints: []wireConstraint{{M: 5, K: 10}, {M: 4, K: 10}}}},
+}
+
+// systemForm is one wire form of the case study: body renders a
+// request carrying the system in that form.
+type systemForm struct {
+	name string
+	body func(analyzeRequest) []byte
+}
+
+// systemForms are the wire forms of one system: compact JSON,
+// re-indented JSON (different bytes, same model) and the DSL.
+func systemForms(t testing.TB) []systemForm {
+	sys := thalesJSON(t)
+	var compact, indented bytes.Buffer
+	if err := json.Compact(&compact, sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&indented, sys, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	src := thalesDSL(t)
+	return []systemForm{
+		{"json", func(r analyzeRequest) []byte {
+			r.System = compact.Bytes()
+			return mustMarshal(t, r)
+		}},
+		// json.Marshal compacts a RawMessage, so the indented system is
+		// spliced into the encoded body.
+		{"json-indented", func(r analyzeRequest) []byte {
+			r.System = compact.Bytes()
+			return bytes.Replace(mustMarshal(t, r), compact.Bytes(), indented.Bytes(), 1)
+		}},
+		{"dsl", func(r analyzeRequest) []byte {
+			r.SystemDSL = src
+			return mustMarshal(t, r)
+		}},
+	}
+}
+
+// mustMarshal encodes v as a request body.
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestSystemMemoForms pins that the digest memo is invisible in the
+// documents: one system sent as compact JSON, re-indented JSON and DSL
+// is answered identically (cache outcome and wall time aside) with the
+// same system_hash, on the first request of each form (a memo miss that
+// parses) and on its repeat (a memo hit that does not).
+func TestSystemMemoForms(t *testing.T) {
+	forms := systemForms(t)
+	for _, q := range memoQueries {
+		t.Run(q.kind, func(t *testing.T) {
+			svc, ts := newTestServer(t, Config{})
+			var want []byte
+			for round, memo := range []string{"miss", "hit"} {
+				for _, form := range forms {
+					hits, misses := svc.met.memoHits.Load(), svc.met.memoMisses.Load()
+					status, got, _ := postRaw(t, ts.URL+q.path, form.body(q.req))
+					if status != http.StatusOK {
+						t.Fatalf("%s (memo %s) answered %d: %s", form.name, memo, status, got)
+					}
+					if dh, dm := svc.met.memoHits.Load()-hits, svc.met.memoMisses.Load()-misses; dh != int64(round) || dm != int64(1-round) {
+						t.Errorf("%s: memo hits/misses moved by %d/%d, want a %s", form.name, dh, dm, memo)
+					}
+					got = envelopeLine.ReplaceAll(got, nil)
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("%s (memo %s) differs from compact JSON:\ngot:  %s\nwant: %s", form.name, memo, got, want)
+					}
+				}
+			}
+			if !bytes.Contains(want, []byte(`"system_hash": "`)) {
+				t.Errorf("document carries no system_hash: %s", want)
+			}
+		})
+	}
+}
+
+// TestSystemMemoEvictedArtifact pins the lazy parse: with room for one
+// artifact, a repeat whose system hash comes from the memo but whose
+// artifact was evicted parses the system inside the store flight and
+// answers byte-identically to a fresh server.
+func TestSystemMemoEvictedArtifact(t *testing.T) {
+	for _, form := range systemForms(t) {
+		t.Run(form.name, func(t *testing.T) {
+			dmm, lat := memoQueries[0], memoQueries[1]
+			dmmBody, latBody := form.body(dmm.req), form.body(lat.req)
+			_, fresh := newTestServer(t, Config{})
+			_, want, _ := postRaw(t, fresh.URL+dmm.path, dmmBody)
+
+			svc, ts := newTestServer(t, Config{CacheSize: 1})
+			postRaw(t, ts.URL+dmm.path, dmmBody)
+			postRaw(t, ts.URL+lat.path, latBody) // evicts the dmm artifact
+			hits, misses := svc.met.memoHits.Load(), svc.StoreStats().Misses
+			status, got, _ := postRaw(t, ts.URL+dmm.path, dmmBody)
+			if status != http.StatusOK {
+				t.Fatalf("recompute answered %d: %s", status, got)
+			}
+			if svc.met.memoHits.Load() != hits+1 || svc.StoreStats().Misses != misses+1 {
+				t.Errorf("want a memo hit and an artifact miss; memo hits %d→%d, store misses %d→%d",
+					hits, svc.met.memoHits.Load(), misses, svc.StoreStats().Misses)
+			}
+			if !bytes.Equal(envelopeLine.ReplaceAll(got, nil), envelopeLine.ReplaceAll(want, nil)) {
+				t.Errorf("recomputed document differs from a fresh server's:\ngot:  %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestSystemMemoSkipsFailures pins that failed parses are not
+// memoized: a bad system is 400 bad_request on every repeat, unary and
+// as a campaign item, and every attempt is a memo miss.
+func TestSystemMemoSkipsFailures(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	for _, bad := range []analyzeRequest{
+		{SystemDSL: "system bad\nchain c periodic(10) {\n", Chain: "c"},
+		{System: json.RawMessage(`{"name": 5}`), Chain: "c"},
+	} {
+		for i := 0; i < 3; i++ {
+			misses := svc.met.memoMisses.Load()
+			status, doc := post(t, ts.URL+"/v1/analyze/dmm", bad)
+			if status != http.StatusBadRequest || doc["kind"] != "bad_request" {
+				t.Fatalf("repeat %d answered %d %v, want 400 bad_request", i, status, doc)
+			}
+			_, lines := postCampaign(t, ts.URL, campaignRequest{Items: []campaignItem{{analyzeRequest: bad}}})
+			if len(lines) != 2 || lines[0].Kind != schema.CampaignKindPartial || lines[0].Cause != "bad_request" {
+				t.Fatalf("campaign repeat %d: %+v, want one bad_request partial line and the summary", i, lines)
+			}
+			if got := svc.met.memoMisses.Load() - misses; got != 2 {
+				t.Errorf("repeat %d: %d memo misses, want 2 (no failure is memoized)", i, got)
+			}
+		}
+	}
+	if hits := svc.met.memoHits.Load(); hits != 0 {
+		t.Errorf("%d memo hits on systems that never parsed", hits)
+	}
+}

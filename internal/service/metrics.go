@@ -26,6 +26,9 @@ type metrics struct {
 	// peer outcome was relayed to (and answered by) the replica owning
 	// the model hash.
 	cacheHits, cacheMisses, cacheCoalesced, cachePeer atomic.Int64
+	// system digest memo: a hit resolved the system's hash without
+	// parsing it, a miss parsed the system.
+	memoHits, memoMisses atomic.Int64
 	// campaign item outcomes: ok lines versus campaign_partial lines
 	// across all /v1/campaign streams.
 	campaignOK, campaignFailed atomic.Int64
@@ -233,6 +236,11 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP twca_cache_hit_ratio Fraction of cacheable requests answered from the LRU.\n")
 	fmt.Fprintf(w, "# TYPE twca_cache_hit_ratio gauge\n")
 	fmt.Fprintf(w, "twca_cache_hit_ratio %g\n", ratio)
+
+	fmt.Fprintf(w, "# HELP twca_system_memo_total System hash resolutions by digest memo outcome (a miss parsed the system).\n")
+	fmt.Fprintf(w, "# TYPE twca_system_memo_total counter\n")
+	fmt.Fprintf(w, "twca_system_memo_total{outcome=\"hit\"} %d\n", m.memoHits.Load())
+	fmt.Fprintf(w, "twca_system_memo_total{outcome=\"miss\"} %d\n", m.memoMisses.Load())
 
 	if m.storeStats != nil {
 		st := m.storeStats()

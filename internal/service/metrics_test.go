@@ -72,6 +72,10 @@ twca_cache_requests_total{outcome="peer"} 0
 # HELP twca_cache_hit_ratio Fraction of cacheable requests answered from the LRU.
 # TYPE twca_cache_hit_ratio gauge
 twca_cache_hit_ratio 0.4
+# HELP twca_system_memo_total System hash resolutions by digest memo outcome (a miss parsed the system).
+# TYPE twca_system_memo_total counter
+twca_system_memo_total{outcome="hit"} 9
+twca_system_memo_total{outcome="miss"} 1
 # HELP twca_store_local_hits_total Artifact requests answered from this replica's LRU.
 # TYPE twca_store_local_hits_total counter
 twca_store_local_hits_total 5

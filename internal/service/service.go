@@ -251,6 +251,9 @@ type Server struct {
 	root     context.Context
 	stop     context.CancelFunc
 	draining atomic.Bool
+	// memo maps a system digest (form tag + exact bytes) to the
+	// system's canonical hash; see Server.system.
+	memo *store.Store
 	// relaySeq feeds the deterministic splitmix64 stream behind relay
 	// backoff jitter.
 	relaySeq atomic.Uint64
@@ -281,6 +284,7 @@ func New(cfg Config) (*Server, error) {
 		Self:     cfg.Self,
 		Peers:    cfg.Peers,
 	})
+	s.memo = store.New(store.Config{Capacity: cfg.CacheSize})
 	s.relaySeq.Store(splitmix64(hashSeed(cfg.Self)))
 	s.breaker = newBreaker(breakerThreshold, breakerCooldown)
 	// One process-wide warm store: sensitivity queries across requests

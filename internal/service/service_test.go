@@ -638,24 +638,34 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // BenchmarkRepeatQuery measures the warm path end to end: HTTP round
-// trip + cache hit + dmm re-evaluation from the memo.
+// trip + digest memo + store hit + document, for each store-hit kind
+// with the system in JSON and in DSL form.
 func BenchmarkRepeatQuery(b *testing.B) {
-	_, ts := newTestServer(b, Config{})
-	req := analyzeRequest{System: thalesJSON(b), Chain: "sigma_c", K: []int64{1, 3, 10, 100}}
-	body, _ := json.Marshal(req)
-	if status, doc := post(b, ts.URL+"/v1/analyze/dmm", req); status != http.StatusOK {
-		b.Fatalf("warmup = %d, %v", status, doc)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v1/analyze/dmm", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatal(resp.Status)
+	for _, q := range memoQueries {
+		for _, form := range systemForms(b) {
+			if form.name == "json-indented" {
+				continue
+			}
+			b.Run(q.kind+"/"+form.name, func(b *testing.B) {
+				_, ts := newTestServer(b, Config{})
+				body := form.body(q.req)
+				if status, raw, _ := postRaw(b, ts.URL+q.path, body); status != http.StatusOK {
+					b.Fatalf("warmup = %d, %s", status, raw)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					resp, err := http.Post(ts.URL+q.path, "application/json", bytes.NewReader(body))
+					if err != nil {
+						b.Fatal(err)
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						b.Fatal(resp.Status)
+					}
+				}
+			})
 		}
 	}
 }
