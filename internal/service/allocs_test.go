@@ -13,13 +13,16 @@ import (
 )
 
 // maxWarmHitAllocs bounds the allocations of one store hit through the
-// handler, request and recorder included. A warm hit resolves the
-// system's hash from the digest memo and never builds a model; a
-// regression that re-parses the system costs hundreds.
-const maxWarmHitAllocs = 100
+// handler, request and recorder included: the measured maximum (41, a
+// sensitivity hit, whose case-study answer is not exact and so is
+// encoded afresh) plus 10%. A warm hit resolves its body from the
+// request memo and writes the stored document; a regression that
+// decodes the request or encodes the document again fails the gate,
+// one that re-parses the system costs hundreds.
+const maxWarmHitAllocs = 45
 
 // TestWarmHitAllocs is the allocation gate of the warm path: a store
-// hit of dmm, latency and verify, each in JSON and DSL form.
+// hit of every analysis endpoint, each in JSON and DSL form.
 func TestWarmHitAllocs(t *testing.T) {
 	svc, err := New(Config{})
 	if err != nil {

@@ -164,11 +164,12 @@ func (s *Server) campaignLine(ctx context.Context, item campaignItem, i int, def
 	if defaults != nil && item.Options == (reqOptions{}) {
 		item.Options = *defaults
 	}
-	q := query{req: &item.analyzeRequest, start: time.Now()}
-	var err error
-	if q.sys, q.hash, err = s.system(q.req); err != nil {
+	q := query{start: time.Now()}
+	sys, hash, err := s.system(&item.analyzeRequest)
+	if err != nil {
 		return partialLine(line, err.Error(), "bad_request")
 	}
+	q.resolved, q.sys = newResolved(ep, &item.analyzeRequest, hash), sys
 	line.SystemHash = q.hash
 	ictx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()

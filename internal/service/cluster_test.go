@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -485,6 +486,9 @@ func TestClusterEndpointByteIdentity(t *testing.T) {
 				}
 				if served := hdr.Get(servedByHeader); target.url == nonOwner && served != owner {
 					t.Errorf("%s response served by %q, want the owner %q", target.name, served, owner)
+				}
+				if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+					t.Errorf("%s answer of %d bytes carries Content-Length %q", target.name, len(got), cl)
 				}
 				if got = envelopeLine.ReplaceAll(got, nil); !bytes.Equal(got, want) {
 					t.Errorf("%s body differs from the single node's:\ngot:  %s\nwant: %s", target.name, got, want)

@@ -170,6 +170,29 @@ func TestBreakerPrefersCachedExact(t *testing.T) {
 		t.Errorf("open breaker served quality %v / cache %v, want the cached exact artifact",
 			doc["quality"], doc["cache"])
 	}
+
+	// That exact answer closed the breaker. Open it again and evict the
+	// exact artifact: the stored exact document stays, but an answer
+	// from the degraded twin never sees it.
+	for i := 0; i < breakerThreshold; i++ {
+		postHdr(t, ts.URL+"/v1/analyze/dmm", trip)
+	}
+	if !svc.breaker.open(hash) {
+		t.Fatal("breaker not open again")
+	}
+	key, docKey := dmmKeys(&exactReq, hash, exactReq.Options.fingerprint())
+	svc.store.Forget(key)
+	if _, ok := svc.docs.Peek(docKey); !ok {
+		t.Fatal("exact document not stored")
+	}
+	status, doc, _ = postHdr(t, ts.URL+"/v1/analyze/dmm", exactReq)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d", status)
+	}
+	if doc["quality"] != "safe-upper-bound" || doc["budget"] != "breaker" || doc["cache"] != "miss" {
+		t.Errorf("open breaker without the exact artifact served quality %v / budget %v / cache %v, want the degraded twin",
+			doc["quality"], doc["budget"], doc["cache"])
+	}
 }
 
 // TestBreakerCooldownHalfOpen: after the cooldown the next request

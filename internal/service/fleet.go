@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -124,10 +125,14 @@ func (s *Server) toOwner(ctx context.Context, hop bool, path, hash string, body 
 // passThrough streams an owner's answer to the client byte for byte, so
 // a relayed document is indistinguishable from a locally served one. A
 // copy error means the peer died mid-stream: the status line is already
-// on the wire, so the client sees a short body.
+// on the wire, so the client sees a body shorter than its
+// Content-Length.
 func (s *Server) passThrough(w http.ResponseWriter, endpoint string, resp *http.Response, peer string) error {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)

@@ -2,15 +2,22 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 )
 
-// FuzzDecodeRequest drives the request-ingestion path — strict JSON
-// decode, system materialization (native JSON or DSL), option
-// translation and validation — with adversarial bodies. The contract:
-// no input may panic; malformed bodies fail with an error, not a crash.
-// This is the same code path the HTTP handlers run before any analysis.
+// FuzzDecodeRequest drives the request pipeline — strict JSON decode,
+// the endpoint checks, system materialization (native JSON or DSL),
+// option validation, the request memo and the stored documents — with
+// adversarial bodies, posting each body twice to every analysis
+// endpoint of a fresh server. The contract: no input may panic, and
+// the repeat, which the request memo (and, for an exact answer, the
+// stored document) serves, answers what the first request answered:
+// the same status and the same bytes once the cache outcome and wall
+// time are removed. Answers shaped by server state rather than input
+// (see stateful) are not compared.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"system_dsl": "system s\nchain c periodic(100) deadline(100) { t prio 1 wcet 10 }\n", "chain": "c", "k": [1, 10]}`))
 	f.Add([]byte(`{"system": {"name": "s", "chains": []}, "chain": "c"}`))
@@ -22,33 +29,44 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"system": "not an object", "system_dsl": "also set"}`))
 	f.Add([]byte(`{"breakpoints_max_k": 1e308}`))
+	f.Add([]byte(`{"system_dsl": "system s\nchain c periodic(100) deadline(100) { t prio 1 wcet 10 }\n", "chain": "c", "constraints": [{"m": 1, "k": 5}], "sensitivity": {"m": 1, "k": 5, "max_scale": 2000, "max_jitter": 10}}`))
+	f.Add([]byte(`{"system_dsl": "system s\nchain c periodic(100) deadline(100) { t prio 1 wcet 10 }\n", "chain": "c", "bogus": 1}`))
 
-	srv, err := New(Config{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req analyzeRequest
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return // rejected at the door, as the handlers would
+		// One server serves all four endpoints: request-memo keys carry
+		// the endpoint name, so each endpoint's first post is a miss and
+		// its repeat a hit.
+		srv, err := New(Config{RequestTimeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Decoded bodies flow on: materialization and option validation
-		// must reject garbage with errors, never panic.
-		if _, _, err := srv.system(&req); err != nil {
-			return
-		}
-		_ = req.Options.twca().Validate()
-		_ = req.Options.latency().Validate()
-		if req.Sensitivity != nil {
-			_ = req.Sensitivity.options().Validate()
-		}
-		for _, c := range req.Constraints {
-			_ = (wireConstraint{M: c.M, K: c.K}) // shape only; Valid() is checked in handlers
+		defer srv.Close()
+		for name, ep := range endpoints {
+			var answers [2]*httptest.ResponseRecorder
+			for i := range answers {
+				answers[i] = httptest.NewRecorder()
+				srv.Handler().ServeHTTP(answers[i], httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(data)))
+			}
+			first, again := answers[0], answers[1]
+			if stateful(first) || stateful(again) {
+				continue
+			}
+			if first.Code != again.Code {
+				t.Fatalf("%s: repeat answered %d, first %d:\n%s\n%s", name, again.Code, first.Code, first.Body, again.Body)
+			}
+			if a, b := envelopeLine.ReplaceAll(first.Body.Bytes(), nil), envelopeLine.ReplaceAll(again.Body.Bytes(), nil); !bytes.Equal(a, b) {
+				t.Fatalf("%s: repeat answer differs:\nfirst:  %s\nrepeat: %s", name, a, b)
+			}
 		}
 	})
+}
+
+// stateful reports an answer shaped by more than its input: cut by the
+// deadline (timing), or degraded by a circuit breaker that the budget
+// trips of earlier requests opened.
+func stateful(r *httptest.ResponseRecorder) bool {
+	return r.Code == http.StatusGatewayTimeout ||
+		bytes.Contains(r.Body.Bytes(), []byte(`"deadline"`)) || bytes.Contains(r.Body.Bytes(), []byte(`"breaker"`))
 }
 
 // FuzzDecodeClusterRequest drives the cluster-admin ingestion path —

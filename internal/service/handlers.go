@@ -315,15 +315,29 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as an indented JSON answer and returns its
+// encoding (without the final newline; nil when v does not encode).
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) []byte {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, data, newline)
+	return data
+}
+
+var newline = []byte("\n")
+
+// writeBody writes a JSON answer made of head and tail, with its
+// Content-Length, so no answer falls back to chunked encoding.
+func writeBody(w http.ResponseWriter, status int, head, tail []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(tail)))
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(head)
+	w.Write(tail)
 }
 
 // retryAfterSeconds renders d as a Retry-After header value (whole
@@ -358,12 +372,28 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, err error) {
 // re-encoding the parsed struct could normalize the JSON and change
 // what the owner hashes.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	rd := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= min(s.cfg.MaxBodyBytes, maxPreallocBody) {
+		// A declared length is enforced by net/http: read a small body
+		// in one buffer instead of growing one. A larger one grows as
+		// its bytes arrive, so a client declaring a large body and
+		// sending little holds little.
+		body = make([]byte, n)
+		_, err = io.ReadFull(rd, body)
+	} else {
+		body, err = io.ReadAll(rd)
+	}
 	if err != nil {
 		return nil, badRequestError{fmt.Errorf("bad request body: %w", err)}
 	}
 	return body, nil
 }
+
+// maxPreallocBody is the largest declared body length readBody
+// allocates before the body arrives.
+const maxPreallocBody = 64 << 10
 
 // decodeStrict parses data into v. Unknown fields are rejected:
 // silently ignoring a typo like "max_combination" would analyze with
@@ -386,6 +416,11 @@ type endpoint struct {
 	// check validates the endpoint's own request fields before the
 	// system is built (nil: nothing to check).
 	check func(*analyzeRequest) error
+	// keys renders the store keys of a request on the system with the
+	// given hash and option fingerprint: the artifact it reads, and its
+	// document — the artifact key plus whatever else the document is a
+	// function of.
+	keys func(req *analyzeRequest, hash, fp string) (artifact, doc string)
 	// document answers the request on this replica.
 	document func(*Server, context.Context, query) (outcome, error)
 	// item is set on the endpoints that also answer campaign items (the
@@ -396,32 +431,62 @@ type endpoint struct {
 
 // endpoints are the analysis endpoints by /metrics name.
 var endpoints = map[string]*endpoint{
-	"dmm": {path: "/v1/analyze/dmm", document: (*Server).dmmDoc,
+	"dmm": {path: "/v1/analyze/dmm", keys: dmmKeys, document: (*Server).dmmDoc,
 		item: func() lineDoc { return new(dmmResponse) }},
-	"latency": {path: "/v1/analyze/latency", document: (*Server).latencyDoc,
+	"latency": {path: "/v1/analyze/latency", keys: latencyKeys, document: (*Server).latencyDoc,
 		item: func() lineDoc { return new(latencyResponse) }},
-	"verify":      {path: "/v1/verify", check: checkVerify, document: (*Server).verifyDoc},
-	"sensitivity": {path: "/v1/analyze/sensitivity", check: checkSensitivity, document: (*Server).sensitivityDoc},
+	"verify": {path: "/v1/verify", check: checkVerify, keys: verifyKeys, document: (*Server).verifyDoc},
+	"sensitivity": {path: "/v1/analyze/sensitivity", check: checkSensitivity, keys: sensitivityKeys,
+		document: (*Server).sensitivityDoc},
 }
 
-// query is one decoded analysis request on its way through the
-// pipeline. It always carries the system's hash, and the model only
-// when this request already parsed it (a digest-memo miss).
+// resolved is what an analysis request's exact body determines before
+// any analysis: the decoded request, its system's canonical hash and
+// the store keys it addresses. The request memo shares one resolved
+// among every repeat of a body, so it is never mutated once built.
+type resolved struct {
+	req  *analyzeRequest
+	hash string
+	// key is the artifact key and doc the document key (see
+	// endpoint.keys).
+	key, doc string
+}
+
+func newResolved(ep *endpoint, req *analyzeRequest, hash string) *resolved {
+	r := &resolved{req: req, hash: hash}
+	r.key, r.doc = ep.keys(req, hash, req.Options.fingerprint())
+	return r
+}
+
+// query is one analysis request on its way through the pipeline. It
+// carries the model only when this request already parsed it (a
+// digest-memo miss).
 type query struct {
-	req   *analyzeRequest
+	*resolved
+	// body is a unary request's exact body (nil for a campaign item): a
+	// request from the request memo carries no system, so building its
+	// model decodes the body again. Only unary answers, documents of
+	// their own, read and write stored encodings.
+	body  []byte
 	sys   *repro.System
-	hash  string
 	start time.Time
 }
 
 // model returns the request's system model, parsing it now when the
-// hash came from the digest memo. The document functions call it only
-// inside a store flight, so a warm hit never builds a model.
+// hash came from a memo. The document functions call it only inside a
+// store flight, so a warm hit never builds a model.
 func (q query) model() (*repro.System, error) {
 	if q.sys != nil {
 		return q.sys, nil
 	}
-	sys, err := q.req.parse()
+	req := q.req
+	if len(req.System) == 0 && req.SystemDSL == "" {
+		req = new(analyzeRequest)
+		if err := decodeStrict(q.body, req); err != nil {
+			return nil, err
+		}
+	}
+	sys, err := req.parse()
 	if err != nil {
 		return nil, badRequestError{err}
 	}
@@ -432,6 +497,12 @@ func (q query) model() (*repro.System, error) {
 // accounting needs to know about it.
 type outcome struct {
 	body any
+	// stored is the stored encoding of the document up to its envelope
+	// tail; body then carries only the envelope fields (see enveloped).
+	stored []byte
+	// retain reports that the body's encoding may be stored under the
+	// query's document key, provided no result degraded.
+	retain bool
 	// degraded counts the results answered below exact quality, by
 	// exhausted budget.
 	degraded map[string]int64
@@ -447,30 +518,23 @@ type lineDoc interface {
 	toLine(l schema.CampaignLine) schema.CampaignLine
 }
 
-// serve is the request pipeline of every analysis endpoint: strict
-// decode, the endpoint's check, the system and its hash, the relay to
-// the replica owning it, the per-request deadline, the endpoint's
-// document function, quality accounting and the write.
+// serve is the request pipeline of every analysis endpoint: the
+// resolved request (strict decode, the endpoint's check, the system's
+// hash and the store keys — or all of them from the request memo), the
+// relay to the replica owning the system, the per-request deadline, the
+// endpoint's document function, quality accounting and the write.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, name string, ep *endpoint) {
-	q := query{req: new(analyzeRequest), start: time.Now()}
+	start := time.Now()
 	body, err := s.readBody(w, r)
+	var q query
 	if err == nil {
-		err = decodeStrict(body, q.req)
+		q, err = s.resolve(name, ep, body)
 	}
 	if err != nil {
 		s.fail(w, name, err)
 		return
 	}
-	if ep.check != nil {
-		err = ep.check(q.req)
-	}
-	if err == nil {
-		q.sys, q.hash, err = s.system(q.req)
-	}
-	if err != nil {
-		s.fail(w, name, badRequestError{err})
-		return
-	}
+	q.start = start
 	if s.toOwner(r.Context(), relayed(r), ep.path, q.hash, body, func(resp *http.Response, peer string) error {
 		return s.passThrough(w, name, resp, peer)
 	}) {
@@ -489,7 +553,137 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, name string, ep *
 		w.Header().Set("Retry-After", retryAfterSeconds(breakerCooldown))
 	}
 	s.met.request(name, http.StatusOK)
-	s.writeJSON(w, http.StatusOK, out.body)
+	if out.stored != nil {
+		writeBody(w, http.StatusOK, out.stored, out.body.(enveloped).appendTail(make([]byte, 0, 96)))
+		return
+	}
+	data := s.writeJSON(w, http.StatusOK, out.body)
+	if out.retain && len(out.degraded) == 0 {
+		if cut := bytes.LastIndex(data, cacheField); cut >= 0 {
+			s.docs.Add(q.doc, bytes.Clone(data[:cut]))
+		}
+	}
+}
+
+// resolve turns an analysis request body into its query: strict
+// decode, the endpoint's check, the system's hash and the store keys.
+// Each step is a deterministic function of the exact body, so the
+// result is memoized under the body's digest and a repeat skips them
+// all — counted as a system memo hit, since it resolved the hash
+// without a parse. Only bodies that pass every step are memoized, so a
+// bad body fails on every repeat. The memoized request drops its system
+// description; an artifact miss on a repeat decodes the body again
+// (query.model). A request whose other fields encode in more than
+// maxMemoRequest bytes is not memoized, so no entry retains more than a
+// few KB.
+func (s *Server) resolve(name string, ep *endpoint, body []byte) (query, error) {
+	q := query{body: body}
+	digest := requestDigest(name, body)
+	if r, ok := s.memo.Peek(digest); ok {
+		s.met.memoHits.Add(1)
+		q.resolved = r.(*resolved)
+		return q, nil
+	}
+	req := new(analyzeRequest)
+	if err := decodeStrict(body, req); err != nil {
+		return query{}, err
+	}
+	var err error
+	if ep.check != nil {
+		err = ep.check(req)
+	}
+	var hash string
+	if err == nil {
+		q.sys, hash, err = s.system(req)
+	}
+	if err != nil {
+		return query{}, badRequestError{err}
+	}
+	q.resolved = newResolved(ep, req, hash)
+	// This query keeps its system for an artifact miss; the memo entry
+	// drops it, so repeats decode it again only on an artifact miss.
+	bare, bareReq := *q.resolved, *req
+	bareReq.System, bareReq.SystemDSL = nil, ""
+	bare.req = &bareReq
+	if enc, err := json.Marshal(&bareReq); err == nil && len(enc) <= maxMemoRequest {
+		s.memo.Add(digest, &bare)
+	}
+	return q, nil
+}
+
+// maxMemoRequest bounds a request-memo entry. Everything the entry
+// holds — the decoded fields and the keys rendered from them — is at
+// most a small multiple of the fields' encoding (a dmm point is 8 bytes
+// decoded and at least 2 encoded), so one entry stays under about
+// 10 KB. Warm queries encode in about 100 bytes.
+const maxMemoRequest = 1 << 10
+
+// requestDigest is the request memo's key: the endpoint's name and the
+// SHA-256 of the exact body. It is longer than a system digest (32
+// bytes), so both share one memo without ever colliding.
+func requestDigest(name string, body []byte) string {
+	sum := sha256.Sum256(body)
+	var buf [64]byte
+	return string(append(append(append(buf[:0], name...), 0), sum[:]...))
+}
+
+// storedDoc returns the stored encoding of a unary query's document
+// when key — the artifact just looked up — is the one the document key
+// embeds, and otherwise reports whether the document, once encoded, may
+// be stored. Campaign items and answers from the breaker's degraded
+// twin never see stored documents.
+func (s *Server) storedDoc(q query, key string) (stored []byte, retain bool) {
+	if q.body == nil || key != q.key {
+		return nil, false
+	}
+	if v, ok := s.docs.Peek(q.doc); ok {
+		return v.([]byte), false
+	}
+	return nil, true
+}
+
+// cacheField opens the envelope tail of every analysis document. What
+// precedes it is a function of the artifact and the document key; the
+// tail (cache, warm_start, elapsed_ms) is rendered for each request.
+var cacheField = []byte(",\n  \"cache\": ")
+
+// enveloped is a response whose encoding ends with the envelope tail:
+// appendTail renders the tail from cacheField to the final newline
+// exactly as writeJSON encodes it.
+type enveloped interface {
+	appendTail(b []byte) []byte
+}
+
+func (r *dmmResponse) appendTail(b []byte) []byte {
+	return appendElapsed(appendCache(b, r.Cache), r.ElapsedMS)
+}
+
+func (r *latencyResponse) appendTail(b []byte) []byte {
+	return appendElapsed(appendCache(b, r.Cache), r.ElapsedMS)
+}
+
+func (r *verifyResponse) appendTail(b []byte) []byte {
+	return append(appendCache(b, r.Cache), "\n}\n"...)
+}
+
+func (r *sensitivityResponse) appendTail(b []byte) []byte {
+	b = strconv.AppendBool(append(appendCache(b, r.Cache), ",\n  \"warm_start\": "...), r.WarmStart)
+	return appendElapsed(b, r.ElapsedMS)
+}
+
+// appendCache renders the cache field. Its value is a store outcome
+// name, which needs no JSON escaping.
+func appendCache(b []byte, cache string) []byte {
+	b = append(append(b, cacheField...), '"')
+	return append(append(b, cache...), '"')
+}
+
+// appendElapsed renders the closing elapsed_ms field, its value by
+// encoding/json itself.
+func appendElapsed(b []byte, ms float64) []byte {
+	v, _ := json.Marshal(ms) // a finite float always encodes
+	b = append(append(b, ",\n  \"elapsed_ms\": "...), v...)
+	return append(b, "\n}\n"...)
 }
 
 // accountQuality does the degradation bookkeeping of one answer, for
@@ -544,7 +738,7 @@ func elapsedMS(start time.Time) float64 {
 // shadow, an exact one. Before going degraded, the exact key is peeked:
 // a cached exact artifact always wins over running a degraded analysis.
 func (s *Server) dmmArtifact(ctx context.Context, q query) (*repro.Analysis, string, string, error) {
-	key := artifactKey("dmm", q.hash, q.req.Chain, q.req.Options.fingerprint())
+	key := q.key
 	opts := q.req.Options.twca()
 	if !q.req.Options.NoDegrade && s.breaker.open(q.hash) {
 		if val, ok := s.store.Peek(key); ok {
@@ -588,6 +782,17 @@ func (req *analyzeRequest) dmmKs() []int64 {
 	return req.K
 }
 
+// dmmKeys addresses the DMM artifact and, under dmmDocKey, the sweep
+// the request asks of it.
+func dmmKeys(req *analyzeRequest, hash, fp string) (string, string) {
+	key := artifactKey("dmm", hash, req.Chain, fp)
+	return key, dmmDocKey(key, req)
+}
+
+func dmmDocKey(key string, req *analyzeRequest) string {
+	return fmt.Sprintf("doc|%s|%v|%d", key, req.dmmKs(), req.BreakpointsMaxK)
+}
+
 // dmmResponse is schema.Analysis plus service envelope fields.
 type dmmResponse struct {
 	schema.Analysis
@@ -608,7 +813,10 @@ func (s *Server) dmmDoc(ctx context.Context, q query) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	ks := q.req.dmmKs()
+	stored, retain := s.storedDoc(q, key)
+	if stored != nil {
+		return outcome{stored: stored, body: &dmmResponse{Cache: state, ElapsedMS: elapsedMS(q.start)}, breaker: true}, nil
+	}
 	// The document is a deterministic function of the artifact and the
 	// requested points, so repeat queries reuse the assembled document
 	// instead of re-sweeping the dmm curve — serving a retained one is
@@ -616,15 +824,19 @@ func (s *Server) dmmDoc(ctx context.Context, q query) (outcome, error) {
 	// is not retained: a query-time budget trip (deadline, injected
 	// fault) belongs to that query, not to the artifact, and replaying it
 	// would deny a later, less pressed query the exact answer and feed
-	// the breaker a trip per replay.
-	docKey := fmt.Sprintf("doc|%s|%v|%d", key, ks, q.req.BreakpointsMaxK)
-	out := outcome{breaker: true}
+	// the breaker a trip per replay. The same rule governs the encoded
+	// documents of unary answers (serve).
+	docKey := q.doc
+	if key != q.key {
+		docKey = dmmDocKey(key, q.req)
+	}
+	out := outcome{breaker: true, retain: retain}
 	var doc schema.Analysis
 	if v, ok := s.store.Peek(docKey); ok {
 		doc = v.(schema.Analysis)
 	} else {
 		var stats schema.Stats
-		if doc, stats, err = schema.FromAnalysisStats(ctx, an, ks, q.req.BreakpointsMaxK); err != nil {
+		if doc, stats, err = schema.FromAnalysisStats(ctx, an, q.req.dmmKs(), q.req.BreakpointsMaxK); err != nil {
 			return outcome{}, err
 		}
 		s.met.ilpNodes.Add(stats.ILPNodes)
@@ -648,12 +860,18 @@ func (r *latencyResponse) toLine(l schema.CampaignLine) schema.CampaignLine {
 	return l
 }
 
+// latencyKeys addresses the latency artifact, of which the document is
+// a function alone.
+func latencyKeys(req *analyzeRequest, hash, fp string) (string, string) {
+	key := artifactKey("latency", hash, req.Chain, fp)
+	return key, key
+}
+
 // latencyDoc answers a latency query from the store or a fresh
 // gate-admitted run.
 func (s *Server) latencyDoc(ctx context.Context, q query) (outcome, error) {
-	key := artifactKey("latency", q.hash, q.req.Chain, q.req.Options.fingerprint())
 	opts := q.req.Options.twca()
-	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+	val, state, err := s.store.Do(ctx, q.key, func(fctx context.Context) (any, error) {
 		sys, err := q.model()
 		if err != nil {
 			return nil, err
@@ -671,6 +889,10 @@ func (s *Server) latencyDoc(ctx context.Context, q query) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
+	stored, retain := s.storedDoc(q, q.key)
+	if stored != nil {
+		return outcome{stored: stored, body: &latencyResponse{Cache: state, ElapsedMS: elapsedMS(q.start)}}, nil
+	}
 	res := val.(*repro.LatencyResult)
 	return outcome{
 		body: &latencyResponse{
@@ -679,6 +901,7 @@ func (s *Server) latencyDoc(ctx context.Context, q query) (outcome, error) {
 			Cache:      state,
 			ElapsedMS:  elapsedMS(q.start),
 		},
+		retain:   retain,
 		degraded: degradedBy(res.Quality),
 	}, nil
 }
@@ -704,6 +927,13 @@ type verifyResult struct {
 	Budget  string `json:"budget,omitempty"`
 }
 
+// verifyKeys addresses the DMM artifact, as dmmKeys does, and the
+// verdicts on the request's constraints.
+func verifyKeys(req *analyzeRequest, hash, fp string) (string, string) {
+	key := artifactKey("dmm", hash, req.Chain, fp)
+	return key, fmt.Sprintf("verify|%s|%v", key, req.Constraints)
+}
+
 func checkVerify(req *analyzeRequest) error {
 	if len(req.Constraints) == 0 {
 		return fmt.Errorf("request needs constraints")
@@ -721,12 +951,16 @@ func checkVerify(req *analyzeRequest) error {
 // after analyzing (or vice versa) is a cache hit, and the request
 // routes to the replica owning the system like a DMM query does.
 func (s *Server) verifyDoc(ctx context.Context, q query) (outcome, error) {
-	an, _, state, err := s.dmmArtifact(ctx, q)
+	an, key, state, err := s.dmmArtifact(ctx, q)
 	if err != nil {
 		return outcome{}, err
 	}
+	stored, retain := s.storedDoc(q, key)
+	if stored != nil {
+		return outcome{stored: stored, body: &verifyResponse{Cache: state}, breaker: true}, nil
+	}
 	resp := &verifyResponse{SchemaVersion: schema.Version, Chain: q.req.Chain, SystemHash: q.hash, Cache: state}
-	out := outcome{body: resp, breaker: true}
+	out := outcome{body: resp, breaker: true, retain: retain}
 	for _, c := range q.req.Constraints {
 		r, err := an.DMMCtx(ctx, c.K)
 		if err != nil {
@@ -802,6 +1036,13 @@ func (s *Server) probeAnalyze(optfp string) repro.ProbeFunc {
 	}
 }
 
+// sensitivityKeys addresses the whole sensitivity result under the
+// query fingerprint; the document is a function of it alone.
+func sensitivityKeys(req *analyzeRequest, hash, fp string) (string, string) {
+	key := artifactKey("sens", hash, req.Chain, fp+"|"+req.Sensitivity.fingerprint())
+	return key, key
+}
+
 func checkSensitivity(req *analyzeRequest) error {
 	if req.Sensitivity == nil {
 		return fmt.Errorf("request needs a sensitivity block")
@@ -814,16 +1055,14 @@ func checkSensitivity(req *analyzeRequest) error {
 // inside probeAnalyze, not here, so a query's fan-out cannot deadlock
 // against its own admission slot.
 func (s *Server) sensitivityDoc(ctx context.Context, q query) (outcome, error) {
-	optfp := q.req.Options.fingerprint()
-	key := artifactKey("sens", q.hash, q.req.Chain, optfp+"|"+q.req.Sensitivity.fingerprint())
-	val, state, err := s.store.Do(ctx, key, func(fctx context.Context) (any, error) {
+	val, state, err := s.store.Do(ctx, q.key, func(fctx context.Context) (any, error) {
 		sys, err := q.model()
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
 		res, err := repro.AnalysisRequest{System: sys, Chain: q.req.Chain, Options: q.req.Options.twca()}.
-			SensitivityWarm(fctx, q.req.Sensitivity.options(), s.probeAnalyze(optfp), s.warm)
+			SensitivityWarm(fctx, q.req.Sensitivity.options(), s.probeAnalyze(q.req.Options.fingerprint()), s.warm)
 		s.met.observeAnalysis("sensitivity", time.Since(t0))
 		if err == nil {
 			s.met.bisectionSteps.Add(res.Probes)
@@ -834,13 +1073,20 @@ func (s *Server) sensitivityDoc(ctx context.Context, q query) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
+	warmStart := !q.req.Sensitivity.NoWarmStart
+	stored, retain := s.storedDoc(q, q.key)
+	if stored != nil {
+		return outcome{stored: stored, body: &sensitivityResponse{
+			Cache: state, WarmStart: warmStart, ElapsedMS: elapsedMS(q.start)}}, nil
+	}
 	res := val.(*repro.SensitivityResult)
 	return outcome{
+		retain: retain,
 		body: &sensitivityResponse{
 			Sensitivity: schema.FromSensitivity(res),
 			SystemHash:  q.hash,
 			Cache:       state,
-			WarmStart:   !q.req.Sensitivity.NoWarmStart,
+			WarmStart:   warmStart,
 			ElapsedMS:   elapsedMS(q.start),
 		},
 		degraded: degradedBy(res.Quality),

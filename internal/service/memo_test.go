@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 
 	"repro"
@@ -31,6 +32,8 @@ var memoQueries = []struct {
 	{"latency", "/v1/analyze/latency", analyzeRequest{Chain: "sigma_d"}},
 	{"verify", "/v1/verify", analyzeRequest{Chain: "sigma_c",
 		Constraints: []wireConstraint{{M: 5, K: 10}, {M: 4, K: 10}}}},
+	{"sensitivity", "/v1/analyze/sensitivity", analyzeRequest{Chain: "sigma_c",
+		Sensitivity: &reqSensitivity{M: 5, K: 10, Tasks: []string{"tau3c"}}}},
 }
 
 // systemForm is one wire form of the case study: body renders a
@@ -130,21 +133,170 @@ func TestSystemMemoEvictedArtifact(t *testing.T) {
 
 			svc, ts := newTestServer(t, Config{CacheSize: 1})
 			postRaw(t, ts.URL+dmm.path, dmmBody)
-			postRaw(t, ts.URL+lat.path, latBody) // evicts the dmm artifact
-			hits, misses := svc.met.memoHits.Load(), svc.StoreStats().Misses
-			status, got, _ := postRaw(t, ts.URL+dmm.path, dmmBody)
-			if status != http.StatusOK {
-				t.Fatalf("recompute answered %d: %s", status, got)
-			}
-			if svc.met.memoHits.Load() != hits+1 || svc.StoreStats().Misses != misses+1 {
-				t.Errorf("want a memo hit and an artifact miss; memo hits %d→%d, store misses %d→%d",
-					hits, svc.met.memoHits.Load(), misses, svc.StoreStats().Misses)
-			}
-			if !bytes.Equal(envelopeLine.ReplaceAll(got, nil), envelopeLine.ReplaceAll(want, nil)) {
-				t.Errorf("recomputed document differs from a fresh server's:\ngot:  %s\nwant: %s", got, want)
+			postRaw(t, ts.URL+lat.path, latBody) // evicts the dmm artifact and document
+			// The repeat is a request-memo hit: its memoized request
+			// carries no system, so the recompute decodes the body again.
+			// Then, with the document stored, the artifact alone is
+			// evicted.
+			for _, evict := range []string{"artifact and document", "artifact"} {
+				if _, ok := svc.memo.Peek(requestDigest(dmm.kind, dmmBody)); !ok {
+					t.Fatalf("%s evicted: the dmm body is not in the request memo", evict)
+				}
+				hits, misses := svc.met.memoHits.Load(), svc.StoreStats().Misses
+				status, got, _ := postRaw(t, ts.URL+dmm.path, dmmBody)
+				if status != http.StatusOK {
+					t.Fatalf("%s evicted: recompute answered %d: %s", evict, status, got)
+				}
+				if svc.met.memoHits.Load() != hits+1 || svc.StoreStats().Misses != misses+1 {
+					t.Errorf("%s evicted: want a memo hit and an artifact miss; memo hits %d→%d, store misses %d→%d",
+						evict, hits, svc.met.memoHits.Load(), misses, svc.StoreStats().Misses)
+				}
+				if !bytes.Equal(envelopeLine.ReplaceAll(got, nil), envelopeLine.ReplaceAll(want, nil)) {
+					t.Errorf("%s evicted: recomputed document differs from a fresh server's:\ngot:  %s\nwant: %s", evict, got, want)
+				}
+				svc.store.Forget(artifactKey("dmm", svc.memoized(t, dmm.kind, dmmBody).hash, dmm.req.Chain, dmm.req.Options.fingerprint()))
 			}
 		})
 	}
+}
+
+// memoized returns the request memo's entry for body on the endpoint.
+func (s *Server) memoized(t *testing.T, name string, body []byte) *resolved {
+	t.Helper()
+	r, ok := s.memo.Peek(requestDigest(name, body))
+	if !ok {
+		t.Fatalf("%s body not in the request memo", name)
+	}
+	return r.(*resolved)
+}
+
+// TestRequestMemoSkipsFailures pins that only requests that resolved
+// are memoized: an unknown field, a failing endpoint check and a system
+// that does not parse answer the same 4xx on every repeat, and none of
+// them enters the request memo.
+func TestRequestMemoSkipsFailures(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	sys := thalesJSON(t)
+	for _, bad := range []struct {
+		name, kind string
+		body       []byte
+		status     int
+	}{
+		{"unknown field", "dmm", []byte(`{"chain": "sigma_c", "bogus": 1}`), http.StatusBadRequest},
+		{"verify without constraints", "verify", mustMarshal(t, analyzeRequest{System: sys, Chain: "sigma_c"}), http.StatusBadRequest},
+		{"sensitivity without its block", "sensitivity", mustMarshal(t, analyzeRequest{System: sys, Chain: "sigma_c"}), http.StatusBadRequest},
+		{"unparsable system", "latency", mustMarshal(t, analyzeRequest{SystemDSL: "system bad\nchain c {", Chain: "c"}), http.StatusBadRequest},
+	} {
+		var first []byte
+		for i := 0; i < 3; i++ {
+			entries := svc.memo.Len()
+			status, got, _ := postRaw(t, ts.URL+endpoints[bad.kind].path, bad.body)
+			if status != bad.status {
+				t.Fatalf("%s: repeat %d answered %d, want %d: %s", bad.name, i, status, bad.status, got)
+			}
+			if first == nil {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Errorf("%s: repeat %d answered %s, first %s", bad.name, i, got, first)
+			}
+			if _, ok := svc.memo.Peek(requestDigest(bad.kind, bad.body)); ok || svc.memo.Len() != entries {
+				t.Errorf("%s: repeat %d was memoized (memo %d → %d entries)", bad.name, i, entries, svc.memo.Len())
+			}
+		}
+	}
+}
+
+// TestRequestMemoShared pins that concurrent repeats of one body share
+// its memo entry and leave it as it was built (the race detector flags
+// a write racing the other readers).
+func TestRequestMemoShared(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	form := systemForms(t)[0]
+	type entry struct {
+		path string
+		body []byte
+		r    *resolved
+		snap resolved
+		req  []byte
+	}
+	var entries []entry
+	for _, q := range memoQueries {
+		body := form.body(q.req)
+		if status, got, _ := postRaw(t, ts.URL+q.path, body); status != http.StatusOK {
+			t.Fatalf("%s warm-up answered %d: %s", q.kind, status, got)
+		}
+		r := svc.memoized(t, q.kind, body)
+		if len(r.req.System) != 0 || r.req.SystemDSL != "" {
+			t.Errorf("%s: memoized request retains its system", q.kind)
+		}
+		entries = append(entries, entry{q.path, body, r, *r, mustMarshal(t, r.req)})
+	}
+	const workers, rounds = 8, 6
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				e := entries[(w+i)%len(entries)]
+				if status, got, _ := postRaw(t, ts.URL+e.path, e.body); status != http.StatusOK {
+					t.Errorf("%s answered %d: %s", e.path, status, got)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, q := range memoQueries {
+		e := entries[i]
+		r := svc.memoized(t, q.kind, e.body)
+		if r != e.r {
+			t.Errorf("%s: repeats replaced the memo entry", q.kind)
+		}
+		if *r != e.snap || !bytes.Equal(mustMarshal(t, r.req), e.req) {
+			t.Errorf("%s: memo entry mutated: %+v %s, was %+v %s", q.kind, *r, mustMarshal(t, r.req), e.snap, e.req)
+		}
+	}
+}
+
+// TestRequestMemoBounded pins that what the request memo retains is
+// bounded by bytes, not only by entries: distinct bodies whose fields
+// besides the system encode in more than maxMemoRequest bytes (long
+// point lists, which a latency query carries and ignores) are answered
+// like any other, the same on every repeat, and never enter the memo;
+// a small body does.
+func TestRequestMemoBounded(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	form := systemForms(t)[0]
+	lat := memoQueries[1]
+	var want []byte
+	for n := 0; n < 8; n++ {
+		req := lat.req
+		req.K = make([]int64, maxMemoRequest+n)
+		for i := range req.K {
+			req.K[i] = 1
+		}
+		body := form.body(req)
+		for i := 0; i < 2; i++ {
+			status, got, _ := postRaw(t, ts.URL+lat.path, body)
+			if status != http.StatusOK {
+				t.Fatalf("%d points, post %d answered %d: %s", len(req.K), i, status, got)
+			}
+			if got = envelopeLine.ReplaceAll(got, nil); want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%d points, post %d answered differently:\ngot:  %s\nwant: %s", len(req.K), i, got, want)
+			}
+		}
+		if _, ok := svc.memo.Peek(requestDigest(lat.kind, body)); ok {
+			t.Errorf("a body with %d points entered the request memo", len(req.K))
+		}
+	}
+	if n := svc.memo.Len(); n != 1 {
+		t.Errorf("memo holds %d entries after the large bodies, want 1 (the system digest)", n)
+	}
+	small := form.body(lat.req)
+	postRaw(t, ts.URL+lat.path, small)
+	svc.memoized(t, lat.kind, small)
 }
 
 // TestSystemMemoSkipsFailures pins that failed parses are not

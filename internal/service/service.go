@@ -61,7 +61,9 @@ import (
 type Config struct {
 	// CacheSize bounds the number of retained analysis artifacts
 	// (default 128). Each artifact is a completed analysis of one
-	// (system, chain, options) triple.
+	// (system, chain, options) triple. The stored encoded answers are
+	// bounded by the same number, and the memo of resolved requests and
+	// system hashes by four times it.
 	CacheSize int
 	// RequestTimeout is the per-request analysis deadline (default
 	// 30s). Requests exceeding it fail with 504. Campaign requests
@@ -252,8 +254,13 @@ type Server struct {
 	stop     context.CancelFunc
 	draining atomic.Bool
 	// memo maps a system digest (form tag + exact bytes) to the
-	// system's canonical hash; see Server.system.
+	// system's canonical hash (see Server.system), and a request digest
+	// (endpoint + exact body) to the resolved request (see
+	// Server.resolve). It holds memoFactor entries per artifact.
 	memo *store.Store
+	// docs maps a document key to the stored encoding of an exact
+	// answer up to its envelope tail; see serve.
+	docs *store.Store
 	// relaySeq feeds the deterministic splitmix64 stream behind relay
 	// backoff jitter.
 	relaySeq atomic.Uint64
@@ -262,6 +269,12 @@ type Server struct {
 	hb        *heartbeat
 	hbStopped chan struct{}
 }
+
+// memoFactor sizes the memo against the artifact store: one artifact
+// is typically read by several distinct request bodies (endpoints,
+// document parameters, system forms), and a memo that thrashes decodes
+// every request again. See DESIGN.md §8.
+const memoFactor = 4
 
 // New builds a Server from cfg (zero value is fine).
 func New(cfg Config) (*Server, error) {
@@ -284,7 +297,8 @@ func New(cfg Config) (*Server, error) {
 		Self:     cfg.Self,
 		Peers:    cfg.Peers,
 	})
-	s.memo = store.New(store.Config{Capacity: cfg.CacheSize})
+	s.memo = store.New(store.Config{Capacity: memoFactor * cfg.CacheSize})
+	s.docs = store.New(store.Config{Capacity: cfg.CacheSize})
 	s.relaySeq.Store(splitmix64(hashSeed(cfg.Self)))
 	s.breaker = newBreaker(breakerThreshold, breakerCooldown)
 	// One process-wide warm store: sensitivity queries across requests

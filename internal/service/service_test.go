@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -634,6 +635,35 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(Config{}); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// TestReadBodyDeclaredLength pins that a declared body length does
+// not buy memory before the body arrives: requests declaring the full
+// body limit and sending a few bytes allocate about what arrived, while
+// a small body is read whole.
+func TestReadBodyDeclaredLength(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const sent, posts = `{"chain": "c"}`, 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < posts; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze/dmm", strings.NewReader(sent))
+		r.ContentLength = svc.cfg.MaxBodyBytes
+		svc.readBody(httptest.NewRecorder(), r)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("%d requests declaring %d bytes and sending %d allocated %d bytes",
+			posts, svc.cfg.MaxBodyBytes, len(sent), got)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/analyze/dmm", strings.NewReader(sent))
+	if body, err := svc.readBody(httptest.NewRecorder(), r); err != nil || string(body) != sent {
+		t.Errorf("readBody = %q, %v; want %q", body, err, sent)
 	}
 }
 
